@@ -3,11 +3,9 @@
 
 Runs a fixed suite — Q5/Q9 x {GPL, KBE} x SF {0.1, 0.5} plus a serve
 drain, a sharded serve drain (the same trace on a 1-device vs a
-4-device pool), a hot-vs-cold cached drain (the same trace twice
+4-device pool), and a hot-vs-cold cached drain (the same trace twice
 through one caching service, gated on byte-identical checksums and a
->= 2x hot speedup), and a host-parallelism drain (the serve trace and
-a 4-device scatter at ``--workers`` 1 vs 4, gated on byte-identical
-checksums with wall-clock informational) — and writes
+>= 2x hot speedup) — and writes
 ``BENCH_<label>.json`` next to the repository root so
 every performance PR carries machine-readable before/after evidence from
 the same machine:
@@ -28,11 +26,8 @@ milliseconds, result rows, a result checksum, and simulator cycles),
 ``serve`` (drain wall-clock, throughput, and cache/search stats),
 ``shard`` (per-pool-size simulated makespan, the 1->4 device
 ``sim_speedup``, and per-query checksums that must match across pool
-sizes), ``cache`` (cold/hot drain wall-clock, the hot speedup,
-per-ticket checksums, and the dedupe exactly-once witness) and
-``workers`` (serve drain + 4-device scatter at host worker widths 1
-and 4: per-width wall-clock and pool-task counts, with per-ticket
-checksums and simulated cycles that must match across widths).
+sizes) and ``cache`` (cold/hot drain wall-clock, the hot speedup,
+per-ticket checksums, and the dedupe exactly-once witness).
 Compare two files with::
 
     python scripts/bench.py --diff BENCH_baseline.json BENCH_after.json
@@ -64,8 +59,6 @@ SERVE_REPEAT = 3
 SERVE_SCALE = 0.1
 #: Pool sizes for the sharded serve drain (single device vs a fleet).
 SHARD_DEVICES = (1, 4)
-#: Host worker-pool widths for the workers scenario (sequential vs pool).
-WORKERS_CONFIGS = (1, 4)
 
 
 def _git_rev() -> str:
@@ -192,16 +185,11 @@ def run_suite(scales, repeats: int) -> dict:
         {name: database.table(name) for name in database.names},
         serve_scale,
     )
-    workers = run_workers_scenario(
-        {name: database.table(name) for name in database.names},
-        serve_scale,
-    )
     return {
         "entries": entries,
         "serve": serve,
         "shard": shard,
         "cache": cache,
-        "workers": workers,
     }
 
 
@@ -371,103 +359,6 @@ def run_cache_scenario(tables, scale) -> dict:
     return section
 
 
-def run_workers_scenario(tables, scale) -> dict:
-    """Host-parallel drain and scatter: ``--workers`` 1 vs 4.
-
-    The same serve trace drains through a single-device service and the
-    same two queries scatter across a 4-device pool, first sequentially
-    and then on a 4-thread host worker pool.  The determinism contract
-    — byte-identical per-ticket checksums (and simulated cycles on the
-    scatter) at every worker width — is what ``--check`` gates on;
-    wall-clock is recorded per width but stays informational, because
-    whether the pool pays for itself depends on how much of the work
-    releases the GIL on the recording machine.
-    """
-    from repro.gpu import AMD_A10
-    from repro.serve import QueryService
-    from repro.shard import DevicePool, ShardedExecutor
-    from repro.tpch import query_by_name
-
-    specs = [
-        query_by_name(name)
-        for name in SERVE_QUERIES
-        for _ in range(SERVE_REPEAT)
-    ]
-    section = {
-        "scale": scale,
-        "queries": len(specs),
-        "serve": {},
-        "shard": {},
-    }
-    serve_sums = {}
-    for workers in WORKERS_CONFIGS:
-        database = _fresh_database(tables)
-        service = QueryService(database, AMD_A10, workers=workers)
-        start = time.perf_counter()
-        report = service.run(specs)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        sums = {
-            f"{position}:{spec.name}": _result_checksum(
-                service.results[position]
-            )
-            for position, spec in enumerate(specs)
-        }
-        serve_sums[workers] = sums
-        section["serve"][str(workers)] = {
-            "workers": workers,
-            "wall_ms": round(wall_ms, 3),
-            "completed": report.completed,
-            "pool_tasks": report.pool_tasks,
-            "checksums": sums,
-        }
-        print(
-            f" workers serve x{workers} sf={scale}: {wall_ms:.1f} ms, "
-            f"{report.pool_tasks} pool tasks"
-        )
-    shard_sums = {}
-    for workers in WORKERS_CONFIGS:
-        database = _fresh_database(tables)
-        executor = ShardedExecutor(
-            database, DevicePool(4), workers=workers
-        )
-        start = time.perf_counter()
-        results = {
-            name: executor.execute(query_by_name(name))
-            for name in QUERIES
-        }
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        sums = {
-            name: _result_checksum(result)
-            for name, result in results.items()
-        }
-        shard_sums[workers] = sums
-        section["shard"][str(workers)] = {
-            "workers": workers,
-            "wall_ms": round(wall_ms, 3),
-            "checksums": sums,
-            "sim_cycles": {
-                name: round(result.counters.elapsed_cycles, 1)
-                for name, result in results.items()
-            },
-        }
-        print(
-            f" workers shard x{workers} sf={scale}: {wall_ms:.1f} ms "
-            f"(4-device scatter)"
-        )
-    first, last = WORKERS_CONFIGS[0], WORKERS_CONFIGS[-1]
-    section["checksums_match"] = (
-        serve_sums[first] == serve_sums[last]
-        and shard_sums[first] == shard_sums[last]
-        and section["shard"][str(first)]["sim_cycles"]
-        == section["shard"][str(last)]["sim_cycles"]
-    )
-    print(
-        f" workers {first}->{last}: checksums "
-        f"{'match' if section['checksums_match'] else 'DIVERGE'}"
-    )
-    return section
-
-
 def diff(before_path: str, after_path: str) -> int:
     before = json.loads(pathlib.Path(before_path).read_text())
     after = json.loads(pathlib.Path(after_path).read_text())
@@ -506,19 +397,6 @@ def diff(before_path: str, after_path: str) -> int:
             f"{'':>12}{'':>12}{shard.get('sim_speedup', 0):>8.2f}x"
             "  (simulated makespan)"
         )
-    workers = after.get("workers")
-    if workers:
-        serve = workers.get("serve", {})
-        widths = sorted(serve, key=int)
-        if len(widths) >= 2:
-            seq = serve[widths[0]]["wall_ms"]
-            par = serve[widths[-1]]["wall_ms"]
-            speed = seq / par if par else 0
-            print(
-                f"{'workers serve 1->' + widths[-1]:<24}"
-                f"{seq:>12.1f}{par:>12.1f}{speed:>8.2f}x"
-                "  (informational)"
-            )
     return 1 if mismatched else 0
 
 
@@ -604,26 +482,6 @@ def check(baseline_path: str, candidate_path: str) -> int:
                 f"cache: checksums {base_cache.get('checksums')!r} -> "
                 f"{cache.get('checksums')!r}"
             )
-    workers = candidate.get("workers")
-    if workers is not None:
-        compared += 1
-        if not workers.get("checksums_match"):
-            failures.append(
-                "workers: checksums or simulated cycles diverge between "
-                f"worker widths {list(workers.get('serve', {}))}"
-            )
-        base_workers = baseline.get("workers") or {}
-        for site in ("serve", "shard"):
-            for width, config in sorted(workers.get(site, {}).items()):
-                base_config = base_workers.get(site, {}).get(width)
-                if base_config is None:
-                    continue
-                if base_config.get("checksums") != config.get("checksums"):
-                    failures.append(
-                        f"workers {site} x{width}: checksums "
-                        f"{base_config.get('checksums')!r} -> "
-                        f"{config.get('checksums')!r}"
-                    )
     if not compared:
         print(
             f"no overlapping entries between {baseline_path} and "

@@ -22,11 +22,9 @@ Six checks over every tracked markdown file:
 5. **undocumented flags** — the reverse of check 3 for the flags in
    ``MUST_DOCUMENT_FLAGS`` (the ``--devices`` pool flag, the serve
    caching/batching flags ``--result-cache-bytes``,
-   ``--no-result-cache``, ``--batch-dedupe``, the host-parallelism
-   flag ``--workers``, and the failure-domain flags
-   ``--max-relocations`` / ``--quarantine-threshold``): every command
-   whose
-   parser accepts such a flag must have at least one doc line
+   ``--no-result-cache``, ``--batch-dedupe``, and the failure-domain
+   flags ``--max-relocations`` / ``--quarantine-threshold``): every
+   command whose parser accepts such a flag must have at least one doc line
    attributing the flag to that command, so a new flag cannot ship
    without documentation;
 6. **reachability** — every ``docs/*.md`` page must be reachable by
@@ -84,7 +82,6 @@ MUST_DOCUMENT_FLAGS = {
     "--result-cache-bytes",
     "--no-result-cache",
     "--batch-dedupe",
-    "--workers",
     "--max-relocations",
     "--quarantine-threshold",
 }

@@ -33,9 +33,12 @@ domain ladder (relocation, then quarantine, then probation) is
 exercised end to end; on top of the standard invariants the storm
 asserts at least one shard relocation and at least one quarantine
 trip, and that every relocated or degraded-pool result still matches
-the clean single-engine checksum::
+the clean single-engine checksum.  The storm is pinned the same way
+(``SOAK_storm_baseline.json``)::
 
-    python scripts/soak.py --kill-devices 4 --queries 120 --runs 2
+    python scripts/soak.py --kill-devices 4 --queries 120 \
+        --out SOAK_storm_baseline.json
+    python scripts/soak.py --check SOAK_storm_baseline.json
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ DEFAULT_PARAMS = {
     "deadline_rate": 0.05,  # share carrying an always-trips deadline
     "deadline_cycles": 500.0,  # far below any query's real cycle cost
     "max_drain_seconds": 120.0,  # crude no-hang guard per drain
-    "workers": 1,  # host worker-pool width; any width must match the witness
     "devices": 1,  # pool size; > 1 serves sharded (the device storm)
     "kill_rate": 0.2,  # chance a query opens a device_down kill pair
     "max_relocations": 2,  # per-query shard relocation budget
@@ -149,7 +151,6 @@ def run_soak(params: dict, verbose: bool = True) -> dict:
         breaker_probes=params["breaker_probes"],
         max_pending=params["max_pending"],
         queue_policy=params["queue_policy"],
-        workers=params.get("workers", 1),
         max_relocations=params.get("max_relocations", 2),
         quarantine_threshold=params.get("quarantine_threshold", 2),
     )
@@ -326,20 +327,11 @@ def soak(params: dict, runs: int = 2, verbose: bool = True) -> dict:
     return first
 
 
-def check(baseline_path: str, verbose: bool = True, workers=None) -> int:
-    """Re-run the soak with a baseline's parameters; report any drift.
-
-    ``workers`` overrides only the host worker-pool width — the
-    determinism contract says any width must reproduce the baseline's
-    witness byte-for-byte, so a ``--workers 4`` check against a
-    sequentially recorded baseline is exactly the parallel-drain
-    equivalence gate.
-    """
+def check(baseline_path: str, verbose: bool = True) -> int:
+    """Re-run the soak with a baseline's parameters; report any drift."""
     baseline = json.loads(pathlib.Path(baseline_path).read_text())
     params = dict(DEFAULT_PARAMS)
     params.update(baseline.get("params", {}))
-    if workers is not None:
-        params["workers"] = workers
     result = soak(params, runs=1, verbose=verbose)
     failures = []
     for key in (
@@ -390,17 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TPC-H scale factor for the soaked database (default 0.02)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "host worker threads per admission round (default: the "
-            "baseline's recorded width, else 1); the soak witness must "
-            "be byte-identical at any width"
-        ),
-    )
-    parser.add_argument(
         "--kill-devices",
         type=int,
         default=None,
@@ -444,14 +425,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     verbose = not args.quiet
     if args.check:
-        return check(args.check, verbose=verbose, workers=args.workers)
+        return check(args.check, verbose=verbose)
 
     params = dict(DEFAULT_PARAMS)
     params["queries"] = args.queries
     params["seed"] = args.seed
     params["scale"] = args.scale
-    if args.workers is not None:
-        params["workers"] = args.workers
     if args.kill_devices is not None:
         if args.kill_devices < 2:
             parser_error = "--kill-devices needs a pool of at least 2"

@@ -160,18 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "host worker threads for the per-device shard scatter "
-            "(only meaningful with --devices > 1); any value produces "
-            "byte-identical results, counters, and traces — 1 (the "
-            "default) is the exact sequential path"
-        ),
-    )
-    run.add_argument(
         "--max-relocations",
         type=int,
         default=2,
@@ -356,18 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
             "of identical pending specs per drain (fanning the result "
             "out to the duplicates) and group same-fact-table queries "
             "into admission rounds"
-        ),
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "host worker threads draining each admission round (and, "
-            "with --devices > 1, scattering each query's shards); any "
-            "value produces byte-identical reports, counters, and "
-            "traces — 1 (the default) is the exact sequential path"
         ),
     )
     serve.add_argument(
@@ -572,7 +548,6 @@ def cmd_run(args) -> int:
             ),
             max_retries=args.max_retries,
             partitioned_joins=args.partitioned_joins,
-            workers=args.workers,
             max_relocations=args.max_relocations,
             quarantine_threshold=args.quarantine_threshold,
         )
@@ -689,7 +664,6 @@ def cmd_serve(args) -> int:
             None if args.no_result_cache else 256 * 1024 * 1024
         ),
         batch_dedupe=args.batch_dedupe,
-        workers=args.workers,
         max_relocations=args.max_relocations,
         quarantine_threshold=args.quarantine_threshold,
     )

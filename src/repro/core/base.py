@@ -193,13 +193,7 @@ class EngineBase:
             "plan.prepare", category="plan", query=spec.name, engine=self.name
         ) as span:
             if self.plan_cache is not None:
-                fetch = getattr(self.plan_cache, "fetch_or_prepare", None)
-                if fetch is not None:
-                    plan, cache_hit = fetch(self, spec)
-                else:  # duck-typed caches: racy under worker pools
-                    hits_before = self.plan_cache.stats.hits
-                    plan = self.plan_cache.get_or_prepare(self, spec)
-                    cache_hit = self.plan_cache.stats.hits > hits_before
+                plan, cache_hit = self.plan_cache.fetch_or_prepare(self, spec)
                 if span is not None:
                     span.attrs["cache_hit"] = cache_hit
                 return plan

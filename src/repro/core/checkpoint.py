@@ -101,9 +101,9 @@ class CheckpointStore:
     *any* query) until the new entry fits.  A segment larger than the
     whole budget is simply not stored.
 
-    Thread-safe: one store is shared by every concurrent worker-pool
-    execution, so ticket issue, entry management, and the byte/segment
-    accounting all happen under a reentrant lock.
+    Thread-safe: one store may be shared by concurrent executions, so
+    ticket issue, entry management, and the byte/segment accounting all
+    happen under a reentrant lock.
     """
 
     def __init__(
@@ -303,8 +303,8 @@ class QueryCheckpoint:
 # -- cross-query segment cache -------------------------------------------
 
 #: Guards the per-plan ``_segment_key_memo`` dicts: plans are shared
-#: through the plan cache, so two worker-pool tasks can key the same
-#: plan object concurrently.
+#: through the plan cache, so two threads can key the same plan object
+#: concurrently.
 _MEMO_LOCK = threading.RLock()
 
 

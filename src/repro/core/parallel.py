@@ -1,37 +1,28 @@
-"""Deterministic host-side worker pools for scatter/gather fan-out.
+"""Inline scatter/gather tasks with private, graftable traces.
 
-The paper's pipelined engine keeps every unit busy at once; the host
-runtime mirrors that with a :class:`WorkerPool` threaded through the two
-fan-out sites — per-device shard scatter and admission-round drains.
-The contract that makes parallelism reviewable:
+:meth:`WorkerPool.submit` runs a task right away on the caller's thread,
+but under a private :class:`~repro.obs.tracing.Tracer` (clock starting
+at zero), and captures result-or-error in a :class:`PoolTask`; the
+caller grafts the task's trace into the ambient tracer at its ordered
+position (:meth:`PoolTask.merge_trace`) — or drops it.  Two sites need
+that:
 
-1. ``workers=1`` is the *exact* sequential path: tasks run inline on the
-   caller's thread with the caller's ambient tracer, no thread pool is
-   ever created, and nothing about today's behaviour changes.
-2. ``workers>1`` runs each task on a ``ThreadPoolExecutor`` under a
-   private :class:`~repro.obs.tracing.Tracer` (clock starting at zero).
-   Callers gather tasks in deterministic order — shard index, member
-   index — and :meth:`PoolTask.merge_trace` grafts each private trace
-   back into the parent at that point, so the exported trace, every
-   counter, and every checksum are byte-identical at any worker count;
-   only wall-clock changes.
+* the shard scatter runs *every* shard before it gathers any of them
+  (which keeps health counters and relocation decisions independent of
+  which shard failed), yet its exported trace must read as a scatter
+  that stopped at the first unrecoverable failure — later shards'
+  traces are discarded;
+* serve round members: a grafted trace sums its timestamps from the
+  member's own zero and is shifted once, which is the floating-point
+  arithmetic the recorded trace digests pin.
 
-Exceptions are captured, not raised, so the gather loop owns ordering:
-the *lowest-index* failure is the one that propagates, exactly as in a
-sequential loop (later tasks may already have run — their side effects
-on shared stores are bounded by the stores' locks).
-
-Wall-clock busy time is accounted per pool (``busy_seconds``) so serving
-reports can show pool utilisation without contaminating any determinism
-witness.
+Host threads were measured and removed — see ``docs/performance.md``,
+"Why there is no ``--workers``".
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from ..obs.tracing import Tracer, current_tracer, use_tracer
 
@@ -41,131 +32,39 @@ T = TypeVar("T")
 
 
 class PoolTask:
-    """Handle for one submitted task: result *or* error, plus the
-    private tracer (parallel mode only) to graft at the gather point."""
+    """Outcome of one submitted task: result *or* error, plus the
+    private tracer to graft at the gather point."""
 
-    __slots__ = ("result", "error", "tracer", "_future")
+    __slots__ = ("result", "error", "tracer")
 
     def __init__(self) -> None:
         self.result: Optional[object] = None
-        self.error: Optional[BaseException] = None
+        self.error: Optional[Exception] = None
         self.tracer: Optional[Tracer] = None
-        self._future: Optional[Future] = None
 
-    def wait(self) -> "PoolTask":
-        """Block until the task finished (inline tasks already have)."""
-        if self._future is not None:
-            self._future.result()  # outcome captured by the wrapper
-            self._future = None
-        return self
-
-    def unwrap(self) -> object:
-        """The task's result; re-raises its exception at the call site."""
-        self.wait()
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-    def merge_trace(self) -> List[object]:
+    def merge_trace(self) -> None:
         """Graft this task's private trace into the caller's ambient
-        tracer (no-op for inline tasks, which recorded directly onto
-        it).  Returns the grafted root spans."""
+        tracer; call at most once, at the task's ordered position."""
         parent = current_tracer()
-        if parent is None or self.tracer is None:
-            return []
-        grafted = parent.graft(self.tracer)
-        self.tracer = None
-        return grafted
+        if parent is not None and self.tracer is not None:
+            parent.graft(self.tracer)
 
 
 class WorkerPool:
-    """A bounded, deterministic thread pool (``workers=1`` → inline).
-
-    One pool per fan-out site: :class:`~repro.serve.service.QueryService`
-    and its internal sharded executor own *separate* pools, because a
-    pool task blocking on subtasks of its own bounded pool can deadlock
-    (``ThreadPoolExecutor`` does no work-stealing).
-    """
-
-    def __init__(self, workers: int = 1, name: str = "repro-worker"):
-        self.workers = max(1, int(workers))
-        self.name = name
-        self.tasks_submitted = 0
-        self.busy_seconds = 0.0
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-
-    @property
-    def sequential(self) -> bool:
-        return self.workers == 1
+    """Runs tasks inline; the caller gathers them in order."""
 
     def submit(self, fn: Callable[[], T]) -> PoolTask:
-        """Run ``fn`` — inline right now (sequential pool) or on a
-        worker thread — always under a private tracer.
-
-        The private tracer is used *even when sequential*: a task's
-        virtual timestamps are then always computed relative to its own
-        clock and shifted once at the graft point, so the floating-point
-        arithmetic — and therefore the exported bytes — are identical at
-        every worker count (summing the same numbers from different
-        absolute bases rounds differently in the last ulp).
-        """
+        """Run ``fn`` now under a private tracer, capturing whatever
+        ``Exception`` it raises on the returned task."""
         task = PoolTask()
-        with self._lock:
-            self.tasks_submitted += 1
         parent = current_tracer()
-        sub = (
-            Tracer(capture_kernels=parent.capture_kernels)
-            if parent is not None
-            else None
-        )
-        task.tracer = sub
-
-        def run() -> None:
-            started = time.perf_counter()
-            try:
-                if sub is not None:
-                    with use_tracer(sub):
-                        task.result = fn()
-                else:
+        try:
+            if parent is None:
+                task.result = fn()
+            else:
+                task.tracer = Tracer(capture_kernels=parent.capture_kernels)
+                with use_tracer(task.tracer):
                     task.result = fn()
-            except BaseException as exc:  # gather loop decides who raises
-                task.error = exc
-            finally:
-                elapsed = time.perf_counter() - started
-                with self._lock:
-                    self.busy_seconds += elapsed
-
-        if self.sequential:
-            run()
-        else:
-            task._future = self._ensure_executor().submit(run)
+        except Exception as exc:  # the gather loop decides who raises
+            task.error = exc
         return task
-
-    def map_ordered(self, fns: Sequence[Callable[[], T]]) -> List[PoolTask]:
-        """Submit every task, then wait for all of them; the returned
-        list preserves submission order (the deterministic gather
-        order).  Traces are *not* merged — the caller grafts each task
-        at its ordered position."""
-        tasks = [self.submit(fn) for fn in fns]
-        for task in tasks:
-            task.wait()
-        return tasks
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix=self.name,
-                )
-            return self._executor
-
-    def shutdown(self) -> None:
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"WorkerPool(workers={self.workers}, name={self.name!r})"

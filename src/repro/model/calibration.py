@@ -229,7 +229,7 @@ class CalibrationTable:
 
 _CACHE: Dict[str, CalibrationTable] = {}
 _CACHE_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
-#: Guards the module-level memo + stats (shared by worker-pool tasks).
+#: Guards the module-level memo + stats (shared by every thread).
 _CACHE_LOCK = threading.RLock()
 
 

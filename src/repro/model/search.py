@@ -95,7 +95,7 @@ DEFAULT_SEARCH_CACHE_LIMIT = 1024
 _SEARCH_CACHE: "OrderedDict[Tuple[str, str], SegmentChoice]" = OrderedDict()
 _SEARCH_CACHE_LIMIT = DEFAULT_SEARCH_CACHE_LIMIT
 _SEARCH_STATS: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
-#: Guards the module-level memo + stats (shared by worker-pool tasks).
+#: Guards the module-level memo + stats (shared by every thread).
 _SEARCH_LOCK = threading.RLock()
 
 

@@ -88,10 +88,6 @@ METRIC_CATALOGUE: Tuple[MetricSpec, ...] = (
         "Makespan of the most recent drain.",
     ),
     MetricSpec(
-        "serve_workers", "gauge",
-        "Host worker threads draining each admission round.",
-    ),
-    MetricSpec(
         "serve_deadline_exceeded_total", "counter",
         "Queries cancelled because their cycle deadline expired.",
     ),

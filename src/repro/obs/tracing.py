@@ -166,17 +166,15 @@ class Tracer:
 
     # -- merging ---------------------------------------------------------
 
-    def graft(self, sub: "Tracer") -> List[Span]:
+    def graft(self, sub: "Tracer") -> None:
         """Splice ``sub``'s span tree (recorded from clock 0) into this
         tracer at the current clock and position.
 
-        Worker-pool tasks record onto a private tracer whose clock
-        starts at zero; grafting in deterministic (shard / member) order
-        shifts every timestamp by this tracer's clock, attaches the
-        roots under the innermost open span, and advances this clock by
-        the sub-tracer's total elapsed time.  Because the virtual clock
-        only moves inside instrumented code, the result is byte-identical
-        to having recorded the task inline, sequentially.
+        Scatter tasks and serve round members record onto a private
+        tracer whose clock starts at zero; grafting in deterministic
+        (shard / member) order shifts every timestamp by this tracer's
+        clock, attaches the roots under the innermost open span, and
+        advances this clock by the sub-tracer's total elapsed time.
         """
         offset = self._clock
         if offset:
@@ -187,23 +185,8 @@ class Tracer:
                     instant.ts += offset
         parent = self.current()
         target = parent.children if parent is not None else self.roots
-        grafted = list(sub.roots)
-        target.extend(grafted)
+        target.extend(sub.roots)
         self.advance(sub.clock)
-        return grafted
-
-    @contextmanager
-    def reopen(self, span: Span) -> Iterator[Span]:
-        """Temporarily re-enter an already-closed span so late events
-        (e.g. breaker settlement for a grafted task) attach to it at the
-        current clock, exactly where sequential execution would have
-        stamped them.  The clock is not rewound and the span's ``end``
-        is left untouched."""
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            self._stack.pop()
 
     # -- introspection ---------------------------------------------------
 
@@ -297,10 +280,8 @@ class Tracer:
 # ambient tracer: explicit install, no-op when absent
 # ---------------------------------------------------------------------------
 
-# The install stack is a ``ContextVar`` holding an immutable tuple so
-# worker-pool tasks each see (and mutate) their own stack: a task that
-# installs a private sub-tracer cannot leak it into — or observe — the
-# tracer of the thread that spawned it.
+# The install stack is a ``ContextVar`` holding an immutable tuple, so
+# each thread (and asyncio task) sees and mutates its own stack.
 _ACTIVE: ContextVar[Tuple[Tracer, ...]] = ContextVar(
     "repro_active_tracers", default=()
 )

@@ -353,8 +353,12 @@ class CaseWhen(Expression):
 
     def evaluate(self, data: ArrayMap) -> np.ndarray:
         condition = self.condition.evaluate(data)
-        then = self.then.evaluate(data)
-        otherwise = self.otherwise.evaluate(data)
+        # Both branches are evaluated eagerly over every row, so a guard
+        # like ``count > 0 ? sum / count : 0`` still divides 0 by 0 on
+        # the rows it then discards; those lanes never reach the result.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            then = self.then.evaluate(data)
+            otherwise = self.otherwise.evaluate(data)
         return np.where(condition, then, otherwise)
 
     def columns(self) -> FrozenSet[str]:

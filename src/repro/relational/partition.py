@@ -151,8 +151,8 @@ class PartitionCache:
 
     The sharded executor partitions the same (table, key, pool-width)
     triple for every query that streams that table; concurrent
-    worker-pool members must neither corrupt the memo nor compute the
-    same layout twice.  The lock is held *across* the factory call so
+    callers must neither corrupt the memo nor compute the same layout
+    twice.  The lock is held *across* the factory call so
     the first requester computes and every concurrent requester blocks
     and then reuses the identical (deterministic) layout — partitioning
     is pure, so which thread wins never matters.

@@ -74,10 +74,10 @@ class PlanCache:
     of query shapes, but nothing enforces that, so the least recently
     used plan is evicted once the bound is hit.
 
-    Thread-safe: worker-pool tasks share one cache, so lookups and
-    stores take a reentrant lock.  ``get_or_prepare`` deliberately
-    prepares *outside* the lock — lowering is the expensive part and
-    concurrent misses on distinct keys must not serialize.
+    Thread-safe: lookups and stores take a reentrant lock.
+    ``fetch_or_prepare`` deliberately prepares *outside* the lock —
+    lowering is the expensive part and concurrent misses on distinct
+    keys must not serialize.
     """
 
     def __init__(self, max_entries: int = 128):
@@ -122,19 +122,14 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def get_or_prepare(self, engine, spec: QuerySpec) -> PhysicalPlan:
-        """The engine-facing entry point (see :meth:`EngineBase.prepare`)."""
-        return self.fetch_or_prepare(engine, spec)[0]
-
     def fetch_or_prepare(
         self, engine, spec: QuerySpec
     ) -> "tuple[PhysicalPlan, bool]":
-        """``(plan, was_hit)`` — the hit flag for *this* call.
+        """The engine-facing entry point (see :meth:`EngineBase.prepare`):
+        ``(plan, was_hit)`` — the hit flag for *this* call.
 
-        Callers must not infer the flag from a ``stats.hits`` delta:
-        under a worker pool a concurrent lookup's hit lands between the
-        snapshots and misattributes the hit, making span attributes
-        depend on thread timing.
+        Callers must not infer the flag from a ``stats.hits`` delta: a
+        concurrent lookup's hit can land between the snapshots.
         """
         key = self.key_for(engine, spec)
         plan = self.lookup(key)
@@ -172,7 +167,7 @@ class ResultCache:
     materialized per execution and never mutated downstream.
 
     Thread-safe: a reentrant lock keeps the entry map, the size map,
-    and the byte accounting in step under concurrent worker-pool use.
+    and the byte accounting in step under concurrent use.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_RESULT_CACHE_BYTES):

@@ -92,16 +92,6 @@ class ServiceReport:
     devices: int = 1
     memory_budget_bytes: float = 0.0
     makespan_ms: float = 0.0
-    #: Host worker threads the drain's pools ran with (1 = sequential).
-    #: Deliberately NOT part of :meth:`counters_dict`: the witness must
-    #: be byte-identical at every worker count.
-    workers: int = 1
-    #: Worker-pool tasks this drain submitted (serve pool plus, on a
-    #: pooled service, the shard scatter pool).  Informational.
-    pool_tasks: int = 0
-    #: Wall-clock seconds those tasks spent busy — the only number that
-    #: is *allowed* to change with ``workers``.
-    pool_busy_seconds: float = 0.0
     records: List[QueryRecord] = field(default_factory=list)
     plan_cache: Dict[str, int] = field(default_factory=dict)
     calibration_cache: Dict[str, int] = field(default_factory=dict)
@@ -273,13 +263,6 @@ class ServiceReport:
             f"latency p50 {self.p50_latency_ms:.3f} ms, "
             f"p95 {self.p95_latency_ms:.3f} ms",
         ]
-        if self.workers > 1:
-            # pool_busy_seconds is wall-clock and deliberately not
-            # printed: identical invocations must render identical text.
-            lines.append(
-                f"host parallelism: {self.workers} workers | "
-                f"{self.pool_tasks} pool tasks"
-            )
         if self.deadline_exceeded or self.shed or self.breaker_degraded:
             lines.append(
                 f"resilience: {self.deadline_exceeded} deadline-exceeded | "

@@ -49,20 +49,17 @@ counters (given the same starting cache state; see ``docs/serving.md``).
 from __future__ import annotations
 
 from collections import Counter as _Counter
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cancel import CancellationToken
 from ..core import (
     CheckpointStore,
     GPLConfig,
     GPLEngine,
-    PoolTask,
     QueryResult,
     ResilientExecutor,
     WorkerPool,
 )
-from ..core.checkpoint import segment_cache_keys
 from ..errors import DeadlineExceededError, ExecutionError, ReproError
 from ..faults import FaultInjector, FaultPlan
 from ..gpu import DeviceSpec
@@ -74,7 +71,7 @@ from ..model import (
     search_cache_stats,
 )
 from ..obs import DriftRecorder, MetricsRegistry
-from ..obs.tracing import add_event, current_tracer, maybe_span
+from ..obs.tracing import add_event, maybe_span
 from ..plans import QuerySpec, spec_fingerprint
 from ..relational import Database
 from ..shard import DevicePool, ShardedExecutor
@@ -105,28 +102,6 @@ def _cache_delta(
         if key.startswith(("live_", "peak_")):
             delta[key] = after[key]
     return delta
-
-
-@dataclass
-class _InflightMember:
-    """One admission-round member between its arrival and its commit.
-
-    Arrival (breaker admission) runs on the drain thread in member
-    order; execution runs on the worker pool; commit — settlement,
-    records, trace grafting — runs on the drain thread, again strictly
-    in member order.  ``pending`` holds the arrival phase's metric
-    increments and span events, replayed verbatim at commit so the
-    exported trace and registry are byte-identical at any worker count.
-    """
-
-    query: ScheduledQuery
-    scopes: List[Tuple[str, Optional[CircuitBreaker]]]
-    degraded_scopes: set
-    #: ``("degraded" | "transitions", scope label, drained states)``.
-    pending: List[Tuple[str, str, Tuple[str, ...]]]
-    #: Conflict keys: members whose keys intersect never overlap.
-    keys: FrozenSet[Tuple[str, str]] = frozenset()
-    task: Optional[PoolTask] = None
 
 
 class QueryService:
@@ -170,7 +145,6 @@ class QueryService:
         segment_cache: Optional[SegmentCache] = None,
         segment_cache_bytes: Optional[int] = None,
         batch_dedupe: bool = False,
-        workers: int = 1,
         max_relocations: int = 2,
         quarantine_threshold: int = 2,
         quarantine_cooldown: int = 2,
@@ -276,14 +250,8 @@ class QueryService:
         #: specs per drain and group same-fact-table queries into
         #: admission rounds.
         self.batch_dedupe = batch_dedupe
-        #: Host-side parallelism: each admission round's members drain
-        #: on this pool (``workers=1`` is the exact sequential path).
-        #: The internal sharded executor gets its *own* same-width pool:
-        #: a bounded pool's task must never block on a subtask submitted
-        #: to the same pool (``ThreadPoolExecutor`` does no
-        #: work-stealing), and a pooled service's round members block on
-        #: their shard scatters.
-        self.worker_pool = WorkerPool(workers, name="repro-serve")
+        #: Runs each round member inline under a private tracer.
+        self.worker_pool = WorkerPool()
         #: Ticket -> result for every completed query this service ran.
         self.results: Dict[int, QueryResult] = {}
         self._queue: List[Tuple[int, QuerySpec, Optional[FaultPlan]]] = []
@@ -304,7 +272,6 @@ class QueryService:
                 deadline_cycles=default_deadline_cycles,
                 checkpoint_store=self.checkpoint_store,
                 segment_cache=self.segment_cache,
-                workers=workers,
                 max_relocations=max_relocations,
                 quarantine_threshold=quarantine_threshold,
                 quarantine_cooldown=quarantine_cooldown,
@@ -317,11 +284,6 @@ class QueryService:
     def pending(self) -> int:
         """Queued-but-not-yet-drained query count."""
         return len(self._queue)
-
-    @property
-    def workers(self) -> int:
-        """Worker threads draining each admission round (1 = sequential)."""
-        return self.worker_pool.workers
 
     def enqueue(
         self, spec: QuerySpec, fault_plan: Optional[FaultPlan] = None
@@ -518,74 +480,23 @@ class QueryService:
             if health.available(slot.index)
         ]
 
-    def _member_conflict_keys(
-        self, query: ScheduledQuery
-    ) -> FrozenSet[Tuple[str, str]]:
-        """Keys under which two round members must not run concurrently.
+    def _admit_member(
+        self,
+        query: ScheduledQuery,
+        scopes: List[Tuple[str, Optional[CircuitBreaker]]],
+    ) -> set:
+        """Breaker admission for one round member.
 
-        Same-shape queries share breaker scopes, plan-cache entries and
-        result keys, so the query name alone serialises them; with a
-        segment cache attached, members sharing any lowered segment
-        prefix are serialised too, so cross-query segment hit/miss
-        counters match the sequential drain exactly.
+        Returns the scope labels whose breaker routes this query to the
+        KBE tier; degradations and arrival-driven transitions are
+        exported as they happen.
         """
-        keys = {("query", query.spec.name)}
-        if self.pool is not None and self._sharded.health.enabled:
-            # Pool health is shared mutable state: a member's execution
-            # can quarantine a device, which changes the breaker scopes
-            # and scatter width every later member must observe.  One
-            # shared key serialises pooled members (commit-before-
-            # arrival), so parallel drains replay the sequential
-            # lifecycle exactly; shard-level parallelism inside each
-            # scatter is unaffected.
-            keys.add(("pool", "health"))
-        if self.segment_cache is not None:
-            keys.update(
-                ("segment", key)
-                for key in segment_cache_keys(
-                    query.plan,
-                    self.database,
-                    self.device.name,
-                    partitioned_joins=self.partitioned_joins,
-                )
-            )
-        return frozenset(keys)
-
-    def _member_arrival(self, query: ScheduledQuery) -> _InflightMember:
-        """Breaker admission for one round member (drain thread only).
-
-        Runs strictly after the commit of every earlier member whose
-        conflict keys intersect this one's, so each breaker observes
-        exactly the settlements a sequential drain would have applied.
-        Metric increments and span events are *pended* and replayed at
-        commit time, keeping the registry and the exported trace
-        byte-identical at every worker count.
-        """
-        scopes = self._breaker_scopes(query.spec.name)
         degraded_scopes: set = set()
-        pending: List[Tuple[str, str, Tuple[str, ...]]] = []
         for label, breaker in scopes:
             if breaker is None:
                 continue
             if breaker.on_arrival() == "degraded":
                 degraded_scopes.add(label)
-                pending.append(("degraded", label, ()))
-            pending.append(
-                ("transitions", label, tuple(breaker.drain_transitions()))
-            )
-        return _InflightMember(
-            query=query,
-            scopes=scopes,
-            degraded_scopes=degraded_scopes,
-            pending=pending,
-            keys=self._member_conflict_keys(query),
-        )
-
-    def _emit_member_arrival(self, member: _InflightMember) -> None:
-        """Replay a member's pended arrival metrics/events (at commit)."""
-        query = member.query
-        for kind, label, states in member.pending:
-            if kind == "degraded":
                 self.registry.counter("breaker_degraded_total").inc()
                 add_event(
                     "serve.breaker_degraded",
@@ -593,23 +504,23 @@ class QueryService:
                     ticket=query.index,
                     scope=label,
                 )
-            else:
-                self._emit_breaker_transitions(label, states)
+            self._emit_breaker_events(label, breaker)
+        return degraded_scopes
 
     def _run_member(
         self,
         query: ScheduledQuery,
         slots: int,
         budget_share: float,
-        degraded: bool,
         share: int,
+        scopes: List[Tuple[str, Optional[CircuitBreaker]]],
         degraded_scopes: set,
     ) -> QueryResult:
-        """Execute one round member (worker-pool task body).
+        """Execute one round member under its ``serve.query`` span.
 
-        Runs under the task's private tracer: the ``serve.query`` span
-        recorded here is the sub-trace's root, grafted into the drain's
-        trace at the member's commit point.
+        A failure settles the breakers before the span closes, so the
+        transition events land inside it; success is settled by the
+        caller, after the span.
         """
         with maybe_span(
             "serve.query",
@@ -622,28 +533,25 @@ class QueryService:
                     query,
                     slots,
                     budget_share,
-                    degraded=degraded,
+                    degraded=bool(degraded_scopes),
                     share=share,
                     degraded_scopes=degraded_scopes,
                 )
-            except ReproError:
+            except ReproError as exc:
                 if span is not None:
                     span.attrs["ok"] = False
+                # A deadline says the time budget ran out, not that GPL
+                # faulted.
+                self._settle_breakers(
+                    scopes,
+                    degraded_scopes,
+                    error_fault=not isinstance(exc, DeadlineExceededError),
+                )
                 raise
             if span is not None:
                 span.attrs["ok"] = True
                 span.attrs["engine"] = result.engine
         return result
-
-    def _pool_stats(self) -> Tuple[int, float]:
-        """(tasks submitted, busy wall-clock seconds) across the serve
-        pool and — on a pooled service — the shard scatter pool."""
-        tasks = self.worker_pool.tasks_submitted
-        busy = self.worker_pool.busy_seconds
-        if self._sharded is not None:
-            tasks += self._sharded.worker_pool.tasks_submitted
-            busy += self._sharded.worker_pool.busy_seconds
-        return tasks, busy
 
     def _settle_breakers(
         self,
@@ -813,7 +721,6 @@ class QueryService:
             if self.segment_cache is not None
             else {}
         )
-        pool_tasks_before, pool_busy_before = self._pool_stats()
         health = self._sharded.health if self._sharded is not None else None
         health_probes_before = health.probes if health is not None else 0
         health_quarantines_before = (
@@ -932,7 +839,6 @@ class QueryService:
 
         clock_ms = 0.0
         self._last_error: Optional[ReproError] = None
-        pool = self.worker_pool
         for round_index, members in enumerate(rounds):
             slots = max(1, self.device.concurrency // len(members))
             budget_share = self.memory_budget_bytes / len(members)
@@ -945,27 +851,23 @@ class QueryService:
                 slots=slots,
                 shared_scan=self.batch_dedupe and len(members) >= 2,
             ):
-                # Each member goes through three phases: *arrival*
-                # (breaker admission, drain thread, member order),
-                # *execution* (worker pool), *commit* (settlement,
-                # records, trace grafting — drain thread, strictly in
-                # member order).  A sequential pool commits eagerly
-                # after each inline execution, which is exactly the
-                # historical loop; a parallel pool overlaps executions
-                # but commits in the same order, so every counter,
-                # record, and exported trace byte is identical.
-                inflight: List[_InflightMember] = []
-
-                def commit_next() -> None:
-                    nonlocal round_makespan
-                    nonlocal faults_scheduled, faults_fired_total
-                    member = inflight.pop(0)
-                    query = member.query
-                    task = member.task
-                    task.wait()
-                    self._emit_member_arrival(member)
-                    grafted = task.merge_trace()
-                    degraded = bool(member.degraded_scopes)
+                for query in members:
+                    scopes = self._breaker_scopes(query.spec.name)
+                    degraded_scopes = self._admit_member(query, scopes)
+                    degraded = bool(degraded_scopes)
+                    # Private tracer + graft, not a direct span: see
+                    # repro.core.parallel on the pinned float arithmetic.
+                    task = self.worker_pool.submit(
+                        lambda: self._run_member(
+                            query,
+                            slots,
+                            budget_share,
+                            len(members),
+                            scopes,
+                            degraded_scopes,
+                        )
+                    )
+                    task.merge_trace()
                     exc = task.error
                     if exc is not None:
                         if not isinstance(exc, ReproError):
@@ -973,63 +875,21 @@ class QueryService:
                         is_deadline = isinstance(exc, DeadlineExceededError)
                         self._last_error = exc
                         harvest_faults(getattr(exc, "resilience", None))
-                        # A deadline says the time budget ran out, not
-                        # that GPL faulted.  Settlement events belong
-                        # inside the (already grafted) serve.query span,
-                        # where the sequential loop emitted them.
-                        tracer = current_tracer()
-                        if grafted and tracer is not None:
-                            with tracer.reopen(grafted[-1]):
-                                self._settle_breakers(
-                                    member.scopes,
-                                    member.degraded_scopes,
-                                    error_fault=not is_deadline,
-                                )
-                        else:
-                            self._settle_breakers(
-                                member.scopes,
-                                member.degraded_scopes,
-                                error_fault=not is_deadline,
-                            )
-                        records.append(
-                            QueryRecord(
-                                index=query.index,
-                                query=query.spec.name,
-                                engine="",
-                                round=round_index,
-                                slots=slots,
-                                est_cost_cycles=query.est_cost_cycles,
-                                footprint_bytes=query.footprint_bytes,
-                                wait_ms=clock_ms,
-                                exec_ms=0.0,
-                                plan_cache_hit=query.plan_cache_hit,
-                                ok=False,
-                                error=str(exc).splitlines()[0],
-                                outcome=(
-                                    "deadline" if is_deadline else "failed"
-                                ),
-                                breaker_degraded=degraded,
-                            )
-                        )
-                        for follower in followers.get(query.index, ()):
+                        for member in (
+                            query, *followers.get(query.index, ())
+                        ):
                             records.append(
                                 QueryRecord(
-                                    index=follower.index,
-                                    query=follower.spec.name,
+                                    index=member.index,
+                                    query=member.spec.name,
                                     engine="",
                                     round=round_index,
                                     slots=slots,
-                                    est_cost_cycles=(
-                                        follower.est_cost_cycles
-                                    ),
-                                    footprint_bytes=(
-                                        follower.footprint_bytes
-                                    ),
+                                    est_cost_cycles=member.est_cost_cycles,
+                                    footprint_bytes=member.footprint_bytes,
                                     wait_ms=clock_ms,
                                     exec_ms=0.0,
-                                    plan_cache_hit=(
-                                        follower.plan_cache_hit
-                                    ),
+                                    plan_cache_hit=member.plan_cache_hit,
                                     ok=False,
                                     error=str(exc).splitlines()[0],
                                     outcome=(
@@ -1037,10 +897,10 @@ class QueryService:
                                         else "failed"
                                     ),
                                     breaker_degraded=degraded,
-                                    deduped=True,
+                                    deduped=member is not query,
                                 )
                             )
-                        return
+                        continue
                     result = task.result
                     self.results[query.index] = result
                     harvest_faults(result.resilience)
@@ -1060,7 +920,7 @@ class QueryService:
                     # to fall off it; per-device scopes attribute shard
                     # fallbacks to the device that fell back.
                     self._settle_breakers(
-                        member.scopes, member.degraded_scopes, result=result
+                        scopes, degraded_scopes, result=result
                     )
                     round_makespan = max(round_makespan, result.elapsed_ms)
                     self.drift.record(
@@ -1131,41 +991,6 @@ class QueryService:
                     key = store_keys.get(query.index)
                     if key is not None:
                         self.result_cache.store(key, result)
-
-                for query in members:
-                    if not pool.sequential and inflight:
-                        # Commit through the *last* in-flight member
-                        # whose conflict keys intersect this one's —
-                        # commits are strictly ordered, so this settles
-                        # every state this member's breaker admission
-                        # (and its caches) must observe.
-                        keys = self._member_conflict_keys(query)
-                        last = -1
-                        for position, other in enumerate(inflight):
-                            if other.keys & keys:
-                                last = position
-                        for _ in range(last + 1):
-                            commit_next()
-                    member = self._member_arrival(query)
-                    degraded = bool(member.degraded_scopes)
-                    member.task = pool.submit(
-                        lambda query=query, degraded=degraded,
-                        degraded_scopes=member.degraded_scopes: (
-                            self._run_member(
-                                query,
-                                slots,
-                                budget_share,
-                                degraded,
-                                len(members),
-                                degraded_scopes,
-                            )
-                        )
-                    )
-                    inflight.append(member)
-                    if pool.sequential:
-                        commit_next()
-                while inflight:
-                    commit_next()
             clock_ms += round_makespan
 
         for ticket, spec in shed:
@@ -1187,7 +1012,6 @@ class QueryService:
                 )
             )
 
-        pool_tasks_after, pool_busy_after = self._pool_stats()
         report = ServiceReport(
             device=self.device.name,
             policy=self.scheduler.policy,
@@ -1195,9 +1019,6 @@ class QueryService:
             devices=len(self.pool) if self.pool is not None else 1,
             memory_budget_bytes=self.memory_budget_bytes,
             makespan_ms=clock_ms,
-            workers=self.worker_pool.workers,
-            pool_tasks=pool_tasks_after - pool_tasks_before,
-            pool_busy_seconds=pool_busy_after - pool_busy_before,
             records=records,
             plan_cache=_stats_delta(
                 self.plan_cache.stats.as_dict(), plan_before
@@ -1264,12 +1085,7 @@ class QueryService:
         self, query: str, breaker: CircuitBreaker
     ) -> None:
         """Export any new breaker transitions as metrics + span events."""
-        self._emit_breaker_transitions(query, breaker.drain_transitions())
-
-    def _emit_breaker_transitions(
-        self, query: str, states: Sequence[str]
-    ) -> None:
-        for state in states:
+        for state in breaker.drain_transitions():
             self.registry.counter("breaker_transitions_total").inc(
                 state=state
             )
@@ -1281,7 +1097,6 @@ class QueryService:
         registry.counter("serve_drains_total").inc()
         registry.counter("serve_rounds_total").inc(num_rounds)
         registry.gauge("serve_makespan_ms").set(report.makespan_ms)
-        registry.gauge("serve_workers").set(self.worker_pool.workers)
         if report.deadline_exceeded:
             registry.counter("serve_deadline_exceeded_total").inc(
                 report.deadline_exceeded

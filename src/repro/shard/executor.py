@@ -29,10 +29,9 @@ Execution lifecycle (see :mod:`repro.shard.planner` for the plan split):
    (concatenation + the original ordering/limit) because there is
    nothing to re-reduce.
 
-Results, records, and traces commit in shard order on the gather path,
-so the host-parallel determinism contract holds: same seed + any worker
-count ⇒ byte-identical results, counters, and traces — with or without
-relocations.
+Every executed shard runs before any is gathered, and results, records,
+and traces commit in shard order on the gather path, so counters and
+traces are deterministic — with or without relocations.
 
 The merged :class:`~repro.core.QueryResult` carries fleet-level
 counters (work summed across shards, critical-path elapsed time: the
@@ -267,7 +266,6 @@ class ShardedExecutor:
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoints: bool = True,
         segment_cache=None,
-        workers: int = 1,
         max_relocations: int = 2,
         quarantine_threshold: int = 2,
         quarantine_cooldown: int = 2,
@@ -301,11 +299,8 @@ class ShardedExecutor:
         #: distinct fingerprints, so shard entries never alias whole-table
         #: entries — the cache pays off when the same shard recurs.
         self.segment_cache = segment_cache
-        #: Host worker pool for the scatter phase.  ``workers=1`` keeps
-        #: the exact sequential path; the serving layer hands the
-        #: executor its own pool size but never shares a pool instance
-        #: (a bounded pool whose tasks submit to themselves deadlocks).
-        self.worker_pool = WorkerPool(workers, name="repro-shard")
+        #: Runs each scatter task inline under a private tracer.
+        self.worker_pool = WorkerPool()
         #: Per-query relocation budget for failed shards.
         self.max_relocations = max_relocations
         #: Device failure domains: per-slot health driven by shard
@@ -355,12 +350,7 @@ class ShardedExecutor:
         )
         # (table, key, num_shards) -> (shard databases, metadata); the
         # executor is bound to one database, so the key needs no db id.
-        # Thread-safe: concurrent serving members partition through it.
         self._partition_cache = PartitionCache()
-
-    @property
-    def workers(self) -> int:
-        return self.worker_pool.workers
 
     # -- partitioning -----------------------------------------------------
 
@@ -467,16 +457,13 @@ class ShardedExecutor:
             fanout=len(executed),
             scheme=metadata.scheme,
         ):
-            # Scatter: submit every executed shard onto the worker pool
-            # (workers=1 runs each inline at submit, the exact
-            # sequential path), then gather **in shard order** — each
-            # task's private trace grafts back at its ordered position,
-            # so the exported trace is byte-identical at any worker
-            # count.  Recovery (device-loss checks, relocation) happens
-            # on the ordered gather path for the same reason.  On an
-            # unrecoverable failure the lowest shard position wins;
-            # traces of later shards are discarded because sequentially
-            # they would never have run.
+            # Scatter: run every executed shard (each under a private
+            # tracer), then gather **in shard order** — each task's
+            # trace grafts back at its ordered position.  Recovery
+            # (device-loss checks, relocation) happens on the ordered
+            # gather path.  On an unrecoverable failure the lowest shard
+            # position wins; traces of later shards are discarded, so
+            # the export reads as a scatter that stopped there.
             records: List[Optional[ShardRecord]] = [None] * len(self.pool)
             for index in range(len(self.pool)):
                 if index in active_set:
@@ -524,11 +511,9 @@ class ShardedExecutor:
                     else self._engine_fault_plan_for(slot)
                 )
                 tasks[position] = self.worker_pool.submit(
-                    lambda db=shard_dbs[position], slot=slot,
-                    shard_engines=shard_engines,
-                    shard_plan=shard_plan: self._run_shard(
+                    lambda: self._run_shard(
                         plan.scatter_spec,
-                        db,
+                        shard_dbs[position],
                         slot,
                         engines=shard_engines,
                         share=max(1, share),
@@ -539,16 +524,14 @@ class ShardedExecutor:
             partials: List[QueryResult] = []
             relocated: List[ShardRecord] = []
             relocations_left = self.max_relocations
-            failure: Optional[BaseException] = None
+            failure: Optional[Exception] = None
             for position, index in enumerate(active):
                 task = tasks[position]
                 if task is None:
                     continue
                 slot = self.pool.slot(index)
-                task.wait()
                 if failure is not None:
-                    task.tracer = None  # never ran, sequentially speaking
-                    continue
+                    continue  # trace dropped: the scatter stopped earlier
                 error = task.error
                 task.merge_trace()
                 if error is None and injector is not None \
@@ -698,7 +681,7 @@ class ShardedExecutor:
         Optional[Tuple[QueryResult, DeviceSlot]],
         int,
         int,
-        Optional[BaseException],
+        Optional[Exception],
     ]:
         """Re-run a failed shard on healthy devices, lowest index first.
 

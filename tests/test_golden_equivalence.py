@@ -9,7 +9,12 @@ The fixtures under ``tests/fixtures/`` were recorded from the seed commit
 * ``trace_q9_gpl_sf005.json`` — the byte-exact ``--trace-out`` JSON of a
   traced GPL Q9 run;
 * ``counters_q9_gpl_sf005.json`` — the simulator counters (elapsed
-  cycles, cost breakdown, row count) of that same run.
+  cycles, cost breakdown, row count) of that same run;
+* ``trace_serve_sha1.json`` — sha1 digests of ``Tracer.to_json()`` for
+  three serve drains at SF 0.02 (clean, fault storm, device relocation),
+  recorded at dcbcc26 before the host-thread path was deleted: the
+  absolute pin on the drain's and the scatter's span structure, event
+  order and shifted-float timestamps.
 
 Together they pin the optimization contract: identical rows, identical
 simulator arithmetic, byte-identical trace export.  A legitimate
@@ -28,9 +33,13 @@ import pathlib
 import pytest
 
 from repro.core import GPLEngine, GPLWithoutCEEngine
+from repro.faults import FaultPlan
 from repro.gpu import AMD_A10
 from repro.kbe import KBEEngine
+from repro.model import clear_calibration_cache, clear_search_cache
 from repro.obs import Tracer, use_tracer
+from repro.serve import QueryService
+from repro.shard import DevicePool
 from repro.ssb import generate_ssb, ssb_query
 from repro.tpch import generate_database, query_by_name
 
@@ -111,6 +120,69 @@ def test_traced_run_matches_seed_byte_for_byte(tpch_db, tmp_path):
         for key, value in result.counters.breakdown().items()
     }
     assert breakdown == witness["breakdown"]
+
+
+def _drain_clean(database):
+    specs = [query_by_name(name) for name in ("Q5", "Q9", "Q14") * 3]
+    report = QueryService(database, AMD_A10).run(specs)
+    assert report.completed == 9
+
+
+def _drain_fault_storm(database):
+    """Retries, fallbacks, breaker trips and degraded arrivals, plus one
+    failure settled on a closed breaker and one on a degraded scope."""
+    service = QueryService(
+        database, AMD_A10, breaker_threshold=1, breaker_cooldown=1
+    )
+    for offset, name in enumerate(("Q5", "Q9", "Q14") * 2):
+        service.enqueue(
+            query_by_name(name),
+            fault_plan=FaultPlan.from_seed(378 + offset, count=3),
+        )
+    report = service.drain()
+    results = [service.results.get(record.index) for record in report.records]
+    resilience = [r.resilience for r in results if r is not None]
+    assert report.failed == 2 and report.breaker_degraded == 3
+    assert sum(r.retries for r in resilience) >= 1
+    assert sum(r.fallbacks for r in resilience) >= 1
+
+
+def _drain_relocation(database):
+    service = QueryService(database, AMD_A10, pool=DevicePool(4))
+    service.enqueue(
+        query_by_name("Q5"), fault_plan=FaultPlan.parse("device_down@dev1")
+    )
+    service.enqueue(query_by_name("Q9"))
+    service.enqueue(query_by_name("Q14"))
+    report = service.drain()
+    assert report.completed == 3 and report.relocations == 1
+
+
+SERVE_TRACE_SCENARIOS = {
+    "drain": _drain_clean,
+    "fault_storm": _drain_fault_storm,
+    "relocation": _drain_relocation,
+}
+
+
+@pytest.fixture(scope="module")
+def serve_db():
+    return generate_database(scale=0.02)
+
+
+def serve_trace_sha1(scenario, database) -> str:
+    clear_calibration_cache()  # the digests were recorded cold
+    clear_search_cache()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        SERVE_TRACE_SCENARIOS[scenario](database)
+    return hashlib.sha1(tracer.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario", sorted(SERVE_TRACE_SCENARIOS))
+def test_serve_trace_matches_recorded_digest(serve_db, scenario):
+    recorded = json.loads((FIXTURES / "trace_serve_sha1.json").read_text())
+    assert serve_trace_sha1(scenario, serve_db) == recorded[scenario]
 
 
 def test_golden_fixture_covers_every_combination(golden):

@@ -1,20 +1,17 @@
-"""Host-parallel execution: the deterministic worker pool.
+"""Inline scatter/gather tasks and the thread-safety of the shared stores.
 
-Three layers of contract:
-
-* :class:`~repro.core.WorkerPool` semantics — ``workers=1`` runs inline
-  with no thread pool; errors are captured for the gather loop; private
-  sub-traces graft back in submission order;
+* :class:`~repro.core.WorkerPool` semantics — ``submit`` runs inline on
+  the caller's thread, errors are captured for the gather loop, private
+  sub-traces graft back where the caller merges them, and a scatter that
+  fails on one shard exports no trace from the shards after it;
 * the shared stores (plan/result/segment caches, the checkpoint store)
   survive a multithreaded hammer with their size and byte accounting
-  intact;
-* the golden invariant — same seed, any worker count => byte-identical
-  report counters, per-ticket result checksums, and exported traces —
-  on serve drains (clean and fault-storm) and 4-device shard scatters.
+  intact.
+
+The drain's and the scatter's exported bytes are pinned absolutely by
+the recorded digests in ``tests/test_golden_equivalence.py``.
 """
 
-import hashlib
-import json
 import threading
 
 import numpy as np
@@ -22,16 +19,11 @@ import pytest
 
 from repro.core import CheckpointStore, WorkerPool
 from repro.core.checkpoint import SegmentCheckpoint
-from repro.faults import FaultPlan
-from repro.gpu import AMD_A10
-from repro.model import clear_calibration_cache, clear_search_cache
+from repro.errors import DeadlineExceededError
 from repro.obs.tracing import Tracer, current_tracer, use_tracer
-from repro.serve import PlanCache, QueryService, ResultCache, SegmentCache
+from repro.serve import PlanCache, ResultCache, SegmentCache
 from repro.shard import DevicePool, ShardedExecutor
-from repro.tpch import generate_database, q5, q7, q9, q14
-
-MIB = 1024 * 1024
-WORKER_COUNTS = (1, 2, 8)
+from repro.tpch import generate_database, q5
 
 
 # ---------------------------------------------------------------------------
@@ -40,83 +32,80 @@ WORKER_COUNTS = (1, 2, 8)
 
 
 class TestWorkerPool:
-    def test_sequential_runs_inline_on_caller_thread(self):
-        pool = WorkerPool(1)
+    def test_submit_runs_inline_on_caller_thread(self):
         seen = []
-        task = pool.submit(lambda: seen.append(threading.get_ident()))
-        assert pool.sequential
-        assert pool._executor is None  # no thread pool was ever created
+        task = WorkerPool().submit(
+            lambda: seen.append(threading.get_ident()) or "done"
+        )
         assert seen == [threading.get_ident()]
         assert task.error is None
-
-    def test_workers_floor_at_one(self):
-        assert WorkerPool(0).workers == 1
-        assert WorkerPool(-3).workers == 1
-        assert not WorkerPool(2).sequential
-
-    def test_map_ordered_preserves_submission_order(self):
-        pool = WorkerPool(4)
-        try:
-            tasks = pool.map_ordered(
-                [lambda i=i: i * i for i in range(16)]
-            )
-            assert [task.unwrap() for task in tasks] == [
-                i * i for i in range(16)
-            ]
-        finally:
-            pool.shutdown()
+        assert task.result == "done"
 
     def test_errors_are_captured_not_raised(self):
-        pool = WorkerPool(2)
-        try:
+        def boom():
+            raise ValueError("boom")
 
-            def boom():
-                raise ValueError("boom")
-
-            task = pool.submit(boom).wait()
-            assert isinstance(task.error, ValueError)
-            with pytest.raises(ValueError):
-                task.unwrap()
-        finally:
-            pool.shutdown()
-
-    def test_pool_accounting(self):
-        pool = WorkerPool(1)
-        pool.submit(lambda: None)
-        pool.submit(lambda: None)
-        assert pool.tasks_submitted == 2
-        assert pool.busy_seconds >= 0.0
-
-    def _traced_fanout(self, workers):
-        pool = WorkerPool(workers)
-        tracer = Tracer()
-        try:
-            with use_tracer(tracer):
-                with tracer.span("fanout", category="serve"):
-                    tasks = []
-                    for index in range(6):
-
-                        def body(index=index):
-                            sub = current_tracer()
-                            with sub.span(
-                                f"task{index}", category="serve"
-                            ):
-                                sub.advance(3 + index)
-
-                        tasks.append(pool.submit(body))
-                    for task in tasks:
-                        task.wait()
-                        task.merge_trace()
-        finally:
-            pool.shutdown()
-        return tracer
+        task = WorkerPool().submit(boom)
+        assert isinstance(task.error, ValueError)
+        assert task.result is None
 
     def test_subtraces_graft_in_submission_order(self):
-        sequential = self._traced_fanout(1)
-        parallel = self._traced_fanout(4)
-        names = [span.name for span in sequential.roots[0].children]
-        assert names == [f"task{i}" for i in range(6)]
-        assert sequential.to_json() == parallel.to_json()
+        pool = WorkerPool()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with tracer.span("fanout", category="serve"):
+                tasks = []
+                for index in range(6):
+
+                    def body(index=index):
+                        sub = current_tracer()
+                        assert sub is not tracer
+                        with sub.span(f"task{index}", category="serve"):
+                            sub.advance(3 + index)
+
+                    tasks.append(pool.submit(body))
+                assert tracer.clock == 0.0  # nothing recorded until merged
+                for task in tasks:
+                    task.merge_trace()
+        children = tracer.roots[0].children
+        assert [span.name for span in children] == [
+            f"task{i}" for i in range(6)
+        ]
+        # each sub-trace is shifted to where the previous one ended
+        assert [span.start for span in children] == [0, 3, 7, 12, 18, 25]
+        assert tracer.clock == 33.0
+
+    def test_failed_scatter_drops_traces_of_later_shards(self, monkeypatch):
+        """Every shard runs, but the exported trace reads as a scatter
+        that stopped at the failing shard."""
+        executor = ShardedExecutor(
+            generate_database(scale=0.01, seed=11), DevicePool(4)
+        )
+        run_shard = executor._run_shard
+        ran = []
+
+        def run_shard_then_miss_deadline(scatter_spec, shard_db, slot, **kw):
+            ran.append(slot.name)
+            result = run_shard(scatter_spec, shard_db, slot, **kw)
+            if slot.name == "dev1":
+                raise DeadlineExceededError(
+                    "shard 1 ran out of budget", query=scatter_spec.name
+                )
+            return result
+
+        monkeypatch.setattr(
+            executor, "_run_shard", run_shard_then_miss_deadline
+        )
+        tracer = Tracer()
+        with use_tracer(tracer), pytest.raises(DeadlineExceededError):
+            executor.execute(q5())
+        assert ran == ["dev0", "dev1", "dev2", "dev3"]
+        assert [
+            span.attrs["device"]
+            for span in tracer.walk()
+            if span.name == "shard.scatter"
+        ] == ["dev0", "dev1"]
+        assert not any(span.name == "shard.gather" for span in tracer.walk())
 
 
 # ---------------------------------------------------------------------------
@@ -239,151 +228,3 @@ class TestSharedStoreHammer:
         assert counters["live_segments"] <= 12
         assert counters["live_bytes"] == 256 * counters["live_segments"]
         assert counters["peak_bytes"] <= 4096
-
-
-# ---------------------------------------------------------------------------
-# golden determinism: workers in {1, 2, 8} are byte-identical
-# ---------------------------------------------------------------------------
-
-
-def _checksum(result):
-    rows = sorted(
-        tuple(round(float(value), 6) for value in row)
-        for row in result.rows()
-    )
-    return hashlib.sha1(repr(rows).encode()).hexdigest()[:16]
-
-
-def _canonical(counters):
-    return json.dumps(counters, sort_keys=True, default=str)
-
-
-def _assert_identical(witnesses):
-    base_workers, base = witnesses[0]
-    for workers, witness in witnesses[1:]:
-        for label in base:
-            assert witness[label] == base[label], (
-                f"workers={workers} diverged from workers={base_workers} "
-                f"on {label}"
-            )
-
-
-def _serve_witness(build_service, traffic, workers):
-    clear_calibration_cache()
-    clear_search_cache()
-    database = generate_database(scale=0.01, seed=11)
-    service = build_service(database, workers)
-    tracer = Tracer()
-    counters = []
-    with use_tracer(tracer):
-        for batch in traffic:
-            for spec, fault_plan in batch:
-                service.enqueue(spec, fault_plan)
-            report = service.drain()
-            counters.append(_canonical(report.counters_dict()))
-    assert report.workers == workers
-    assert "workers" not in report.counters_dict()  # witness stays pure
-    gauge = report.metrics["serve_workers"]["series"][0]
-    assert gauge["value"] == workers
-    return {
-        "counters": counters,
-        "checksums": {
-            ticket: _checksum(result)
-            for ticket, result in sorted(service.results.items())
-        },
-        "trace": tracer.to_json(),
-    }
-
-
-class TestGoldenWorkerEquivalence:
-    def test_serve_drain_byte_identical(self):
-        def build(database, workers):
-            return QueryService(
-                database,
-                AMD_A10,
-                max_concurrent=4,
-                result_cache=ResultCache(64 * MIB),
-                segment_cache=SegmentCache(max_bytes=64 * MIB),
-                batch_dedupe=True,
-                workers=workers,
-            )
-
-        cold = [(spec, None) for spec in (q5(), q9(), q7(), q14(), q5())]
-        warm = [(spec, None) for spec in (q5(), q9(), q7())]
-        _assert_identical(
-            [
-                (workers, _serve_witness(build, [cold, warm], workers))
-                for workers in WORKER_COUNTS
-            ]
-        )
-
-    def test_sharded_serve_drain_byte_identical(self):
-        def build(database, workers):
-            return QueryService(
-                database,
-                AMD_A10,
-                max_concurrent=4,
-                pool=DevicePool(4),
-                workers=workers,
-            )
-
-        traffic = [[(spec, None) for spec in (q5(), q9(), q7(), q9())]]
-        _assert_identical(
-            [
-                (workers, _serve_witness(build, traffic, workers))
-                for workers in WORKER_COUNTS
-            ]
-        )
-
-    def test_fault_storm_drain_byte_identical(self):
-        def build(database, workers):
-            return QueryService(
-                database,
-                AMD_A10,
-                max_concurrent=4,
-                default_deadline_cycles=4e8,
-                breaker_threshold=1,
-                breaker_cooldown=1,
-                workers=workers,
-            )
-
-        storm = [
-            (spec, FaultPlan.from_seed(40 + index, count=3))
-            for index, spec in enumerate(
-                (q5(), q9(), q7(), q14(), q9(), q5())
-            )
-        ]
-        recovery = [(spec, None) for spec in (q5(), q9())]
-        witnesses = [
-            (workers, _serve_witness(build, [storm, recovery], workers))
-            for workers in WORKER_COUNTS
-        ]
-        _assert_identical(witnesses)
-        # the storm must actually exercise the failure path
-        outcomes = json.loads(witnesses[0][1]["counters"][0])["outcomes"]
-        assert outcomes["ok"] < 6
-        assert outcomes["deadline"] + outcomes["failed"] >= 1
-
-    def test_shard_scatter_byte_identical(self):
-        def witness(workers):
-            clear_calibration_cache()
-            clear_search_cache()
-            database = generate_database(scale=0.01, seed=11)
-            executor = ShardedExecutor(
-                database, DevicePool(4), workers=workers
-            )
-            tracer = Tracer()
-            with use_tracer(tracer):
-                results = [executor.execute(spec) for spec in (q5(), q9())]
-            return {
-                "checksums": [_checksum(result) for result in results],
-                "cycles": [
-                    result.counters.elapsed_cycles for result in results
-                ],
-                "elapsed_ms": [result.elapsed_ms for result in results],
-                "trace": tracer.to_json(),
-            }
-
-        _assert_identical(
-            [(workers, witness(workers)) for workers in WORKER_COUNTS]
-        )

@@ -7,9 +7,7 @@ stays **byte-identical** to a healthy-pool run; repeated failures walk
 the slot through the deterministic ``healthy -> suspect -> quarantined
 -> probation`` lifecycle (cooldowns counted in completed queries); a
 degraded pool re-partitions over the active slots and keeps answering
-with identical checksums.  Worker counts never matter: a seeded
-device-kill storm produces the same results, counters, and service
-witness at ``workers=1`` and ``workers=4``.
+with identical checksums.
 """
 
 import hashlib
@@ -181,15 +179,12 @@ class TestDeviceDownFaults:
 
 class TestRelocation:
     @pytest.mark.parametrize("devices", (2, 4))
-    @pytest.mark.parametrize("workers", (1, 4))
-    def test_killed_shard_relocates_with_identical_rows(
-        self, db, devices, workers
-    ):
+    def test_killed_shard_relocates_with_identical_rows(self, db, devices):
         spec = query_by_name("Q5")
         healthy = ShardedExecutor(db, DevicePool(devices))
         expected = _digest(healthy.execute(spec))
 
-        executor = ShardedExecutor(db, DevicePool(devices), workers=workers)
+        executor = ShardedExecutor(db, DevicePool(devices))
         result = executor.execute(
             spec, fault_plan=FaultPlan.parse("device_down@dev1")
         )
@@ -320,13 +315,8 @@ class TestDegradedPool:
 
 
 class TestDegradedPoolServing:
-    def _drain(self, db, workers, storm):
-        service = QueryService(
-            db,
-            device_by_name("amd"),
-            pool=DevicePool(4),
-            workers=workers,
-        )
+    def _drain(self, db, storm):
+        service = QueryService(db, device_by_name("amd"), pool=DevicePool(4))
         for ticket, name in enumerate(QUERIES * 2):
             plan = (
                 FaultPlan.parse("device_down@dev1")
@@ -342,38 +332,31 @@ class TestDegradedPoolServing:
         )
         return service, report, checksums
 
-    def test_storm_drain_matches_healthy_checksums_at_any_width(self, db):
-        _, healthy_report, healthy_sums = self._drain(db, 1, storm=False)
+    def test_storm_drain_matches_healthy_checksums(self, db):
+        _, healthy_report, healthy_sums = self._drain(db, storm=False)
         assert healthy_report.completed == healthy_report.num_queries
 
-        witnesses = []
-        for workers in (1, 4):
-            service, report, checksums = self._drain(db, workers, storm=True)
-            # the golden witness: every query completes ok and every
-            # checksum is byte-identical to the healthy-pool drain
-            assert report.completed == report.num_queries
-            assert checksums == healthy_sums
-            assert report.relocations == 2
-            assert report.pool_quarantines == 1
-            assert report.pool_probes == 1
-            assert report.pool_health["dev1"] in POOL_HEALTH_STATES
-            witnesses.append(report.counters_dict())
+        service, report, checksums = self._drain(db, storm=True)
+        # the golden witness: every query completes ok and every
+        # checksum is byte-identical to the healthy-pool drain
+        assert report.completed == report.num_queries
+        assert checksums == healthy_sums
+        assert report.relocations == 2
+        assert report.pool_quarantines == 1
+        assert report.pool_probes == 1
+        assert report.pool_health["dev1"] in POOL_HEALTH_STATES
 
-            # surfaced in text and metrics
-            text = report.to_text()
-            assert "pool: 2 relocations" in text
-            assert "[relocated x1]" in text
-            registry = service.registry
-            assert (
-                registry.counter("shard_relocations_total").value() == 2.0
-            )
-            assert registry.counter("pool_probe_total").value() == 1.0
-            assert registry.gauge("pool_quarantined").value() == 0.0
-
-        assert witnesses[0] == witnesses[1]
+        # surfaced in text and metrics
+        text = report.to_text()
+        assert "pool: 2 relocations" in text
+        assert "[relocated x1]" in text
+        registry = service.registry
+        assert registry.counter("shard_relocations_total").value() == 2.0
+        assert registry.counter("pool_probe_total").value() == 1.0
+        assert registry.gauge("pool_quarantined").value() == 0.0
 
     def test_healthy_drain_reports_no_pool_activity(self, db):
-        _, report, _ = self._drain(db, 1, storm=False)
+        _, report, _ = self._drain(db, storm=False)
         assert report.relocations == 0
         assert report.pool_quarantined == 0
         assert report.pool_quarantines == 0
