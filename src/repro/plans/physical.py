@@ -130,7 +130,11 @@ class FilterOp(StreamOp):
 
     def apply(self, batch: Batch, context: ExecutionContext) -> Batch:
         mask = np.asarray(self.predicate.evaluate(batch), dtype=bool)
-        return {name: batch[name][mask] for name in self.out_columns}
+        if mask.all():
+            return {name: batch[name] for name in self.out_columns}
+        # Resolve the selection once; every column then takes the same rows.
+        selected = np.flatnonzero(mask)
+        return {name: batch[name].take(selected) for name in self.out_columns}
 
     def gpl_kernels(self) -> List[KernelTemplate]:
         # GPL selection: map only; satisfied tuples go to the channel
@@ -308,12 +312,19 @@ class ProbeOp(StreamOp):
             np.asarray(batch[self.probe_key])
         )
         payload = table.payload_rows(build_idx)
+        # Every probe row matched exactly once: probe_idx is the identity
+        # and the probe-side columns pass through ungathered.
+        all_matched = (
+            probe_idx.size == batch_rows(batch) and table.unique_keys
+        )
         result: Batch = {}
         for name in self.out_columns:
             if name in payload:
                 result[name] = payload[name]
+            elif all_matched:
+                result[name] = batch[name]
             else:
-                result[name] = batch[name][probe_idx]
+                result[name] = batch[name].take(probe_idx)
         return result
 
     def gpl_kernels(self) -> List[KernelTemplate]:

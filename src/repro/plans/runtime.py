@@ -4,10 +4,11 @@ Engines execute physical pipelines over *batches* — plain ``dict[str,
 numpy.ndarray]`` column maps — and share three stateful structures:
 
 * :class:`HashTable` — the build side of a hash join.  Implemented over
-  sorted key arrays (probe via binary search), which has hash-join
-  semantics (equi-match, multi-match expansion) with fully vectorized
-  numpy probing.  Build is incremental per tile; ``finalize`` is the
-  blocking barrier the paper requires after hash build.
+  key-sorted build rows, probed through a direct-address index when the
+  keys are dense integers and by binary search otherwise; either way it
+  has hash-join semantics (equi-match, multi-match expansion) with fully
+  vectorized numpy probing.  Build is incremental per tile; ``finalize``
+  is the blocking barrier the paper requires after hash build.
 * :class:`GroupAggState` — streaming hash aggregation state: each batch
   folds into per-group accumulators (GPL's packet-by-packet ``k_reduce*``
   behaviour); ``result`` is the tiny blocking epilogue.
@@ -58,8 +59,27 @@ def _concat_batches(parts: Sequence[Batch], columns: Sequence[str]) -> Batch:
     }
 
 
+#: A build side whose integer key range spans at most this many slots per
+#: row — or this many slots outright — is indexed by direct address.
+DENSE_SLOTS_PER_ROW = 8
+DENSE_MIN_SLOTS = 65_536
+
+
+def _direct_addressable(keys: np.ndarray) -> bool:
+    """Whether ``key - low`` is exact in int64 for this key dtype."""
+    return keys.dtype.kind in "iu" and keys.dtype != np.uint64
+
+
 class HashTable:
-    """Incrementally built equi-join index: key -> payload rows."""
+    """Incrementally built equi-join index: key -> payload rows.
+
+    ``finalize`` sorts the build side by key.  When the keys are integers
+    whose range is within :data:`DENSE_SLOTS_PER_ROW` slots per row (or
+    :data:`DENSE_MIN_SLOTS`), it also builds an ``int32`` direct-address
+    index over ``[min, max]`` and ``probe`` is a subtract and a gather;
+    otherwise ``probe`` binary-searches the sorted keys.  Both return the
+    same pairs in the same order.
+    """
 
     def __init__(self, key: str, payload_columns: Sequence[str]):
         self.key = key
@@ -67,12 +87,24 @@ class HashTable:
         self._parts: List[Batch] = []
         self._keys: Optional[np.ndarray] = None
         self._payload: Optional[Batch] = None
-        self._order: Optional[np.ndarray] = None
         self._unique_keys = False
+        # Direct-address index, one slot per key value in [low, low + span)
+        # plus one trailing slot every out-of-range probe key maps to.
+        # Unique keys: slot -> sorted position, -1 when absent.  Duplicate
+        # keys: slot -> start of the key's run (CSR row pointers, so the
+        # run length is the next slot's start minus this one's).
+        self._index: Optional[np.ndarray] = None
+        self._low = 0
+        self._span = 0
 
     @property
     def finalized(self) -> bool:
         return self._keys is not None
+
+    @property
+    def unique_keys(self) -> bool:
+        """Whether no two build rows share a key (after ``finalize``)."""
+        return self._unique_keys
 
     def insert(self, batch: Batch) -> None:
         """Fold one batch of build-side rows into the table."""
@@ -84,24 +116,43 @@ class HashTable:
         self._parts.append({name: batch[name] for name in needed})
 
     def finalize(self) -> None:
-        """The blocking barrier: sort keys, freeze the table."""
+        """The blocking barrier: sort keys, index them, freeze the table."""
         columns = (self.key,) + tuple(
             c for c in self.payload_columns if c != self.key
         )
         merged = _concat_batches(self._parts, columns)
         self._parts = []
-        keys = merged[self.key]
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._order = order
+        order = np.argsort(merged[self.key], kind="stable")
+        self._keys = merged[self.key][order]
         self._payload = {
             name: merged[name][order] for name in self.payload_columns
         }
+        # The unsorted copies are dead weight while the index is built.
+        del merged, order
         # Unique-key tables (the dimension-table common case) probe with
-        # a single binary search instead of the left/right pair.
+        # a single lookup instead of a start/count pair.
         self._unique_keys = bool(
             self._keys.size <= 1 or np.all(self._keys[1:] != self._keys[:-1])
         )
+        self._build_index()
+
+    def _build_index(self) -> None:
+        keys = self._keys
+        if keys.size == 0 or not _direct_addressable(keys):
+            return
+        low = int(keys[0])
+        span = int(keys[-1]) - low + 1
+        if span > max(DENSE_SLOTS_PER_ROW * keys.size, DENSE_MIN_SLOTS):
+            return
+        slots = keys.astype(np.int64) - low
+        if self._unique_keys:
+            index = np.full(span + 1, -1, dtype=np.int32)
+            index[slots] = np.arange(keys.size, dtype=np.int32)
+        else:
+            index = np.zeros(span + 2, dtype=np.int32)
+            np.cumsum(np.bincount(slots, minlength=span), out=index[1:-1])
+            index[-1] = index[-2]
+        self._index, self._low, self._span = index, low, span
 
     @property
     def num_rows(self) -> int:
@@ -111,7 +162,8 @@ class HashTable:
 
     @property
     def nbytes(self) -> int:
-        """Approximate table size; the probe's auxiliary working set."""
+        """Approximate size of the modelled table (keys + payload, never
+        the host-side index); the probe's auxiliary working set."""
         if self._keys is None:
             return sum(batch_bytes(part) for part in self._parts)
         return int(
@@ -128,22 +180,17 @@ class HashTable:
         """
         if self._keys is None:
             raise ExecutionError("probe before hash-table finalize")
-        if self._unique_keys:
-            # 0/1 matches per probe key: one searchsorted + equality
-            # check replaces the left/right pair (same pairs, same order).
-            left = np.searchsorted(self._keys, probe_keys, side="left")
-            if self._keys.size == 0:
-                empty = np.empty(0, dtype=np.int64)
-                return empty, empty
-            clipped = np.minimum(left, self._keys.size - 1)
-            matched = (left < self._keys.size) & (
-                self._keys[clipped] == probe_keys
-            )
-            probe_idx = np.flatnonzero(matched)
-            return probe_idx, left[matched]
-        left = np.searchsorted(self._keys, probe_keys, side="left")
-        right = np.searchsorted(self._keys, probe_keys, side="right")
-        counts = right - left
+        if self._keys.size == 0 or probe_keys.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        if self._index is not None and _direct_addressable(probe_keys):
+            left, counts = self._probe_direct(probe_keys)
+        else:
+            left, counts = self._probe_sorted(probe_keys)
+        if counts is None:
+            # 0/1 matches per probe key; ``left`` is -1 where there is none.
+            probe_idx = np.flatnonzero(left >= 0)
+            return probe_idx, left.take(probe_idx).astype(np.int64, copy=False)
         total = int(counts.sum())
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
@@ -156,12 +203,39 @@ class HashTable:
         build_idx = np.repeat(left, counts) + offsets
         return probe_idx, build_idx
 
+    def _probe_direct(
+        self, probe_keys: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Run start (and length, for duplicate keys) per probe key."""
+        # int64, never the probe column's own width: an int32 key near the
+        # limits minus a negative ``low`` must not wrap into the table.
+        slots = probe_keys.astype(np.int64, copy=False) - self._low
+        if slots.min() < 0 or slots.max() >= self._span:
+            slots[(slots < 0) | (slots >= self._span)] = self._span
+        left = self._index.take(slots)
+        if self._unique_keys:
+            return left, None
+        return left, self._index[1:].take(slots) - left
+
+    def _probe_sorted(
+        self, probe_keys: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The same by binary search: sparse, float or uint64 keys."""
+        left = np.searchsorted(self._keys, probe_keys, side="left")
+        if self._unique_keys:
+            clipped = np.minimum(left, self._keys.size - 1)
+            left[self._keys[clipped] != probe_keys] = -1
+            return left, None
+        right = np.searchsorted(self._keys, probe_keys, side="right")
+        return left, right - left
+
     def payload_rows(self, build_idx: np.ndarray) -> Batch:
         """Gather payload columns for matched build rows."""
         if self._payload is None:
             raise ExecutionError("payload access before finalize")
         return {
-            name: array[build_idx] for name, array in self._payload.items()
+            name: array.take(build_idx)
+            for name, array in self._payload.items()
         }
 
 
@@ -201,6 +275,11 @@ class PartitionedHashTable:
     @property
     def finalized(self) -> bool:
         return self._finalized
+
+    @property
+    def unique_keys(self) -> bool:
+        """Equal keys share a partition, so unique per partition is unique."""
+        return all(partition.unique_keys for partition in self._partitions)
 
     def insert(self, batch: Batch) -> None:
         if self._finalized:

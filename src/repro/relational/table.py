@@ -42,6 +42,7 @@ class Table:
         self._schema = schema
         self._data = data
         self._num_rows = lengths.pop() if lengths else 0
+        self._nbytes = self._num_rows * schema.row_width
 
     # -- construction ------------------------------------------------------
 
@@ -83,7 +84,7 @@ class Table:
     @property
     def nbytes(self) -> int:
         """Total payload bytes; the simulator's unit of data volume."""
-        return self._num_rows * self._schema.row_width
+        return self._nbytes
 
     def column(self, name: str) -> np.ndarray:
         """The numpy array backing column ``name``."""

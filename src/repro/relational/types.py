@@ -38,15 +38,7 @@ class DataType(enum.Enum):
     @property
     def numpy_dtype(self) -> np.dtype:
         """The numpy dtype used for the physical column."""
-        physical = {
-            DataType.INT32: np.int32,
-            DataType.INT64: np.int64,
-            DataType.FLOAT32: np.float32,
-            DataType.FLOAT64: np.float64,
-            DataType.DATE: np.int32,
-            DataType.DICT: np.int32,
-        }
-        return np.dtype(physical[self])
+        return _NUMPY_DTYPES[self]
 
     @property
     def width(self) -> int:
@@ -62,6 +54,16 @@ class DataType(enum.Enum):
             DataType.FLOAT32,
             DataType.FLOAT64,
         )
+
+
+_NUMPY_DTYPES = {
+    DataType.INT32: np.dtype(np.int32),
+    DataType.INT64: np.dtype(np.int64),
+    DataType.FLOAT32: np.dtype(np.float32),
+    DataType.FLOAT64: np.dtype(np.float64),
+    DataType.DATE: np.dtype(np.int32),
+    DataType.DICT: np.dtype(np.int32),
+}
 
 
 def date_to_days(value: "str | _dt.date") -> int:

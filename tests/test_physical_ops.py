@@ -38,6 +38,23 @@ class TestFilterOp:
         assert set(out) == {"b", "k"}
         assert list(out["b"]) == [2.0, 1.0]
 
+    @pytest.mark.parametrize(
+        "threshold,survivors", [(0.0, 4), (3.0, 2), (9.0, 0)]
+    )
+    def test_gathers_once_and_never_mutates(self, threshold, survivors):
+        """An all-pass tile goes through as it is; any other is a fresh
+        gather.  Either way the input tile is left as it was."""
+        op = FilterOp(col("a").ge(threshold))
+        op.bind(["a", "b", "k"], ["b", "k"], WIDTHS, 0.5)
+        tile, before = batch(), batch()
+        out = op.apply(tile, ExecutionContext())
+        assert batch_rows(out) == survivors
+        for name in tile:
+            assert np.array_equal(tile[name], before[name])
+        for name in out:
+            assert out[name].dtype == tile[name].dtype
+            assert np.shares_memory(out[name], tile[name]) == (survivors == 4)
+
     def test_widths(self):
         op = self.make()
         assert op.in_width == 20
@@ -126,6 +143,50 @@ class TestProbeAndBuild:
             context,
         )
         assert batch_rows(out) == 0
+
+    @pytest.mark.parametrize(
+        "keys,matched",
+        [([2, 0, 1, 1], 4), ([2, 99, 1, 1], 3), ([7, 8, 9, 9], 0)],
+    )
+    def test_probe_side_passes_through_only_when_all_match(self, keys, matched):
+        """Every probe row matching once needs no gather of the probe
+        side; a partial match does.  The input tile is never written."""
+        context = self.context_with_table()
+        tile = {
+            "a": np.array([1.0, 2.0, 3.0, 4.0]),
+            "k": np.array(keys, dtype=np.int32),
+        }
+        before = {name: array.copy() for name, array in tile.items()}
+        out = self.make_probe().apply(tile, context)
+        assert batch_rows(out) == matched
+        for name in tile:
+            assert np.array_equal(tile[name], before[name])
+        assert np.shares_memory(out["a"], tile["a"]) == (matched == 4)
+        assert list(out["a"]) == [
+            a for a, k in zip(tile["a"], keys) if k in (0, 1, 2)
+        ]
+
+    def test_duplicate_build_keys_always_gather(self):
+        """One match per probe row *on average* is not the identity."""
+        context = ExecutionContext()
+        sink = BuildSink("ht", "p", ("payload",))
+        sink.bind(["p", "payload"], {"p": 4, "payload": 8})
+        sink.start(context)
+        sink.consume(
+            {
+                "p": np.array([5, 5], dtype=np.int32),
+                "payload": np.array([10.0, 11.0]),
+            },
+            context,
+        )
+        sink.finalize(context)
+        tile = {
+            "a": np.array([1.0, 2.0]),
+            "k": np.array([5, 6], dtype=np.int32),
+        }
+        out = self.make_probe().apply(tile, context)
+        assert list(out["a"]) == [1.0, 1.0]
+        assert list(out["payload"]) == [10.0, 11.0]
 
     def test_gpl_probe_kernel(self):
         kernels = self.make_probe().gpl_kernels()

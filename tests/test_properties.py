@@ -10,7 +10,12 @@ from repro.gpu import CacheModel, ChannelConfig, ChannelState, KernelSpec
 from repro.errors import ChannelError
 from repro.plans import AggSpec
 from repro.plans.physical import FilterOp
-from repro.plans.runtime import ExecutionContext, GroupAggState, HashTable
+from repro.plans.runtime import (
+    ExecutionContext,
+    GroupAggState,
+    HashTable,
+    PartitionedHashTable,
+)
 from repro.relational import col
 
 ints = st.integers(min_value=0, max_value=50)
@@ -26,42 +31,159 @@ float_arrays = st.lists(
 )
 
 
-class TestHashTableProperties:
-    @given(build=int_arrays, probe=int_arrays)
-    @settings(max_examples=100, deadline=None)
-    def test_probe_matches_brute_force(self, build, probe):
-        """Every (probe, build) pair with equal keys appears exactly once."""
-        table = HashTable("k", ("k",))
-        table.insert({"k": build})
-        table.finalize()
-        probe_idx, build_rows = table.probe(probe)
-        payload = table.payload_rows(build_rows)
+INT32 = np.iinfo(np.int32)
+INT64 = np.iinfo(np.int64)
+#: Far from every drawn key: its range defeats the direct-address index.
+OUTLIER = 10**9
 
-        got = sorted(zip(probe_idx.tolist(), payload["k"].tolist()))
-        expected = sorted(
-            (i, int(b))
-            for i, p in enumerate(probe.tolist())
-            for b in build.tolist()
-            if b == p
+#: Key shapes that take the direct-address index / the binary search.
+DENSE_SHAPES = (
+    "dense_unique", "dense_duplicate", "negative", "int32_low",
+    "int32_high", "int64_probe", "float_probe", "empty_probe",
+)
+SORTED_SHAPES = (
+    "sparse_unique", "sparse_duplicate", "int32_both_ends", "float",
+    "uint64", "empty_build",
+)
+
+
+@st.composite
+def join_keys(draw, shape=None):
+    """``(build, probe)`` key arrays; each shape forces one probe branch."""
+    if shape is None:
+        shape = draw(st.sampled_from(DENSE_SHAPES + SORTED_SHAPES))
+    dtype, probe_dtype = np.int32, np.int32
+    low = draw(st.integers(-100, 100))
+    if shape == "negative":
+        low = draw(st.integers(-5000, -100))
+    elif shape == "int32_low":
+        low = INT32.min
+    elif shape == "int32_high":
+        low = INT32.max - 60
+    elif shape == "uint64":
+        low = draw(st.integers(0, 100))
+    duplicate = shape.endswith("duplicate")
+    build = draw(
+        st.lists(
+            st.integers(low, low + 60),
+            min_size=1,
+            max_size=80,
+            unique=not duplicate,
         )
-        assert [(i, k) for i, k in got] == expected
+    )
+    if duplicate:
+        build.append(build[0])
+    # Probe inside the build range and past it: below, above, both, neither.
+    first, last = min(build), max(build)
+    probe = draw(
+        st.lists(st.integers(first, last), min_size=1, max_size=120)
+    )
+    beyond = st.lists(st.integers(1, 20), min_size=1, max_size=5)
+    if draw(st.booleans()):
+        probe += [first - step for step in draw(beyond)]
+    if draw(st.booleans()):
+        probe += [last + step for step in draw(beyond)]
+    if shape.startswith("sparse"):
+        build.append(OUTLIER)
+    if shape.startswith("int32"):
+        probe = [key for key in probe if INT32.min <= key <= INT32.max]
+        probe += [INT32.min, INT32.max]
+    if shape == "int32_both_ends":
+        build += [INT32.min, INT32.max]
+    elif shape == "int64_probe":
+        probe_dtype = np.int64
+        probe += [INT64.min, INT64.max, INT32.min - 1, INT32.max + 1]
+    elif shape == "float":
+        dtype = probe_dtype = np.float64
+        build = [key / 2 for key in build]
+    elif shape == "float_probe":
+        probe_dtype = np.float64
+        probe = [key / 2 for key in probe] + probe
+    elif shape == "uint64":
+        dtype = probe_dtype = np.uint64
+        probe = [key for key in probe if key >= 0]
+    elif shape == "empty_build":
+        build = []
+    elif shape == "empty_probe":
+        probe = []
+    return np.asarray(build, dtype=dtype), np.asarray(probe, dtype=probe_dtype)
 
-    @given(build=int_arrays, splits=st.integers(min_value=1, max_value=5))
-    @settings(max_examples=50, deadline=None)
-    def test_incremental_build_equals_bulk(self, build, splits):
-        bulk = HashTable("k", ("k",))
-        bulk.insert({"k": build})
-        bulk.finalize()
 
-        parts = HashTable("k", ("k",))
-        for chunk in np.array_split(build, splits):
-            parts.insert({"k": chunk})
-        parts.finalize()
+def _finalized(table, build, splits=1):
+    rows = np.arange(build.size)
+    for keys, row in zip(
+        np.array_split(build, splits), np.array_split(rows, splits)
+    ):
+        table.insert({"k": keys, "row": row})
+    table.finalize()
+    return table
 
-        probe = np.arange(0, 51)
-        a_idx, _ = bulk.probe(probe)
-        b_idx, _ = parts.probe(probe)
-        assert np.array_equal(a_idx, b_idx)
+
+def _matches(table, probe):
+    """The probe's answer as (probe row, build row) pairs, in order."""
+    probe_idx, build_idx = table.probe(probe)
+    payload = table.payload_rows(build_idx)
+    assert np.array_equal(payload["k"], probe[probe_idx])
+    return list(zip(probe_idx.tolist(), payload["row"].tolist()))
+
+
+class TestHashTableProperties:
+    @given(keys=join_keys())
+    @settings(max_examples=300, deadline=None)
+    def test_probe_matches_brute_force(self, keys):
+        """Every (probe, build) pair with equal keys appears exactly once:
+        probe rows ascending, and build rows ascending within each."""
+        build, probe = keys
+        table = _finalized(HashTable("k", ("k", "row")), build)
+        expected = [
+            (i, j)
+            for i, p in enumerate(probe.tolist())
+            for j, b in enumerate(build.tolist())
+            if b == p
+        ]
+        assert _matches(table, probe) == expected
+
+    @given(keys=join_keys(), splits=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=100, deadline=None)
+    def test_incremental_build_equals_bulk(self, keys, splits):
+        build, probe = keys
+        bulk = _finalized(HashTable("k", ("k", "row")), build)
+        parts = _finalized(HashTable("k", ("k", "row")), build, splits)
+        assert _matches(parts, probe) == _matches(bulk, probe)
+        assert (parts.num_rows, parts.nbytes) == (bulk.num_rows, bulk.nbytes)
+
+    @pytest.mark.parametrize("shape", DENSE_SHAPES + SORTED_SHAPES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_shape_takes_its_branch(self, shape, data):
+        """The strategies above reach the branch they are named for."""
+        build, _ = data.draw(join_keys(shape))
+        table = _finalized(HashTable("k", ("k", "row")), build)
+        # White-box on purpose: nothing public tells the two paths apart.
+        assert (table._index is not None) == (shape in DENSE_SHAPES)
+        assert table.unique_keys == (not shape.endswith("duplicate"))
+        # The modelled table is keys + payload (k, row); never the index.
+        assert table.num_rows == build.size
+        assert table.nbytes == 2 * build.nbytes + 8 * build.size
+
+    @pytest.mark.parametrize("shape", DENSE_SHAPES)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_direct_and_sorted_paths_agree_in_order(self, shape, data):
+        """One far outlier key forces binary search; the answer must be
+        the same pairs in the same order, and a 16-way partitioned table
+        must give them too."""
+        build, probe = data.draw(join_keys(shape))
+        direct = _finalized(HashTable("k", ("k", "row")), build)
+        by_search = _finalized(
+            HashTable("k", ("k", "row")),
+            np.append(build, build.dtype.type(OUTLIER)),
+        )
+        assert _matches(direct, probe) == _matches(by_search, probe)
+        partitioned = _finalized(
+            PartitionedHashTable("k", ("k", "row"), 16), build
+        )
+        assert _matches(partitioned, probe) == _matches(by_search, probe)
 
 
 class TestGroupAggProperties:

@@ -20,12 +20,15 @@ from repro.tpch import generate_database
 
 from .conftest import assert_rows_close
 
-#: Dimensions joinable to lineitem, with their join keys and a pool of
-#: numeric columns safe to filter/aggregate/group on.
+#: Dimensions joinable to lineitem, with their join keys, a pool of
+#: numeric columns safe to filter/aggregate/group on, and the largest
+#: filter threshold worth drawing.  ``partsupp`` is Q9's edge: its build
+#: key repeats (four suppliers per part), so every match expands.
 DIMENSIONS = {
-    "part": ("l_partkey", "p_partkey", ["p_size"]),
-    "supplier": ("l_suppkey", "s_suppkey", ["s_nationkey"]),
-    "orders": ("l_orderkey", "o_orderkey", ["o_custkey"]),
+    "part": ("l_partkey", "p_partkey", ["p_size"], 40),
+    "supplier": ("l_suppkey", "s_suppkey", ["s_nationkey"], 40),
+    "orders": ("l_orderkey", "o_orderkey", ["o_custkey"], 40),
+    "partsupp": ("l_partkey", "ps_partkey", ["ps_availqty"], 9999),
 }
 
 FACT_NUMERIC = ["l_quantity", "l_discount", "l_tax"]
@@ -67,7 +70,9 @@ def query_specs(draw):
     for dim in dims:
         if draw(st.booleans()):
             column = DIMENSIONS[dim][2][0]
-            threshold = draw(st.integers(min_value=0, max_value=40))
+            threshold = draw(
+                st.integers(min_value=0, max_value=DIMENSIONS[dim][3])
+            )
             filters[dim] = col(column).le(threshold)
 
     groupable = FACT_GROUPABLE + [DIMENSIONS[d][2][0] for d in dims]
@@ -84,6 +89,10 @@ def query_specs(draw):
     )
     if draw(st.booleans()):
         aggregates += (AggSpec("max_disc", "max", col("l_discount")),)
+    if draw(st.booleans()):
+        aggregates += (AggSpec("min_tax", "min", col("l_tax")),)
+    if draw(st.booleans()):
+        aggregates += (AggSpec("avg_qty", "avg", col("l_quantity")),)
 
     order_by = group_keys if draw(st.booleans()) else ("n",)
     limit = draw(st.one_of(st.none(), st.integers(1, 20)))
