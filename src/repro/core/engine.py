@@ -14,6 +14,7 @@ forfeits overlap — the variant the evaluation shows is *slower* than KBE.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
@@ -175,11 +176,13 @@ class GPLEngine(EngineBase):
         )
         if config.concurrent:
             self._simulate_pipelined(
-                simulator, pipeline, launches, plan, config, context,
-                contention,
+                simulator, pipeline, templates, launches, plan, config,
+                context, contention,
             )
         else:
-            self._simulate_tile_serial(simulator, launches, plan, config, context, pipeline)
+            self._simulate_tile_serial(
+                simulator, pipeline, templates, launches, plan, context
+            )
 
     # ------------------------------------------------------------------
 
@@ -264,6 +267,7 @@ class GPLEngine(EngineBase):
         self,
         simulator: Simulator,
         pipeline: Pipeline,
+        templates: Sequence[KernelTemplate],
         launches: List[KernelLaunch],
         plan,
         config: GPLConfig,
@@ -271,7 +275,6 @@ class GPLEngine(EngineBase):
         contention: float = 1.0,
     ) -> None:
         """Concurrent kernels + channels: one launch set per segment."""
-        templates = self._templates(pipeline)
         stages = self._stage_specs(templates, launches, context)
         channels = self._size_channels(launches, plan, config)
         simulator.launch_overhead(len(stages))
@@ -335,44 +338,51 @@ class GPLEngine(EngineBase):
     def _simulate_tile_serial(
         self,
         simulator: Simulator,
+        pipeline: Pipeline,
+        templates: Sequence[KernelTemplate],
         launches: List[KernelLaunch],
         plan,
-        config: GPLConfig,
         context: ExecutionContext,
-        pipeline: Pipeline,
     ) -> None:
         """GPL (w/o CE): per tile, each kernel runs alone and materializes."""
-        templates = self._templates(pipeline)
-        tile_rows = plan.average_tile_rows
         source_is_table = pipeline.source_table is not None
-        for _ in range(plan.num_tiles):
-            flowing = tile_rows
-            for position, (template, launch) in enumerate(
-                zip(templates, launches)
-            ):
-                aux_ws = self._aux_working_set(context, template)
-                tile_launch = KernelLaunch(
-                    spec=launch.spec,
-                    tuples=int(round(flowing)),
-                    workgroups=launch.workgroups,
-                    in_bytes_per_tuple=launch.in_bytes_per_tuple,
-                    out_bytes_per_tuple=launch.out_bytes_per_tuple,
-                    selectivity=launch.selectivity,
-                    input_location=DataLocation.GLOBAL,
-                    output_location=DataLocation.GLOBAL,
-                    label=launch.label,
-                )
-                simulator.launch_overhead()
-                simulator.run_exclusive(
+        # Every tile carries the same average row count through the same
+        # chain, so each position's exclusive run is described once.
+        runs = []
+        flowing = plan.average_tile_rows
+        for position, (template, launch) in enumerate(
+            zip(templates, launches)
+        ):
+            tile_launch = KernelLaunch(
+                spec=launch.spec,
+                tuples=int(round(flowing)),
+                workgroups=launch.workgroups,
+                in_bytes_per_tuple=launch.in_bytes_per_tuple,
+                out_bytes_per_tuple=launch.out_bytes_per_tuple,
+                selectivity=launch.selectivity,
+                input_location=DataLocation.GLOBAL,
+                output_location=DataLocation.GLOBAL,
+                label=launch.label,
+            )
+            runs.append(
+                partial(
+                    simulator.run_exclusive,
                     tile_launch,
                     input_working_set=flowing * launch.in_bytes_per_tuple,
                     aux_reads_per_tuple=template.aux_reads_per_tuple,
-                    aux_working_set_bytes=aux_ws,
+                    aux_working_set_bytes=self._aux_working_set(
+                        context, template
+                    ),
                     input_is_intermediate=(
                         position > 0 or not source_is_table
                     ),
                 )
-                flowing *= launch.selectivity
+            )
+            flowing *= launch.selectivity
+        for _ in range(plan.num_tiles):
+            for run_exclusive in runs:
+                simulator.launch_overhead()
+                run_exclusive()
 
 
 class GPLWithoutCEEngine(GPLEngine):

@@ -21,7 +21,13 @@ from .occupancy import (
     max_active_wg_per_cu,
 )
 from .profiler import KernelProfile, Profiler, ProfilerReport
-from .simulator import PipelineRunResult, Simulator, StageSpec
+from .simulator import (
+    PipelineRunResult,
+    Simulator,
+    StageSpec,
+    clear_simulation_memo,
+    simulation_memo_stats,
+)
 from .trace import TraceEvent, render_gantt, stage_utilization
 
 __all__ = [
@@ -50,6 +56,8 @@ __all__ = [
     "PipelineRunResult",
     "Simulator",
     "StageSpec",
+    "clear_simulation_memo",
+    "simulation_memo_stats",
     "TraceEvent",
     "render_gantt",
     "stage_utilization",

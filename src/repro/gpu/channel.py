@@ -218,6 +218,7 @@ class ChannelState:
 
     __slots__ = (
         "config",
+        "capacity_packets",
         "buffered_packets",
         "reserved_packets",
         "total_packets",
@@ -234,6 +235,7 @@ class ChannelState:
         peak_packets: int = 0,
     ) -> None:
         self.config = config
+        self.capacity_packets = config.capacity_packets
         self.buffered_packets = buffered_packets
         self.reserved_packets = reserved_packets
         self.total_packets = total_packets
@@ -255,12 +257,21 @@ class ChannelState:
 
     def can_reserve(self, packets: int) -> bool:
         """Whether the producer may start a work-group needing ``packets``."""
-        return self.in_flight + packets <= self.config.capacity_packets
+        return self.in_flight + packets <= self.capacity_packets
+
+    def try_reserve(self, packets: int) -> bool:
+        """Reserve space for ``packets`` if it fits; ``False`` (and no
+        change) when the producer must wait — one capacity test for the
+        event loop's check-then-reserve."""
+        reserved = self.reserved_packets + packets
+        if self.buffered_packets + reserved > self.capacity_packets:
+            return False
+        self.reserved_packets = reserved
+        return True
 
     def reserve(self, packets: int) -> None:
-        if not self.can_reserve(packets):
+        if not self.try_reserve(packets):
             raise ChannelError("reserve beyond channel capacity")
-        self.reserved_packets += packets
 
     def commit(self, packets: int) -> None:
         """Producer work-group finished: its packets become visible."""
@@ -284,7 +295,7 @@ class ChannelState:
     @property
     def occupancy(self) -> float:
         """In-flight fraction of capacity (1.0 = fully backpressured)."""
-        return self.in_flight / self.config.capacity_packets
+        return self.in_flight / self.capacity_packets
 
     def snapshot(self, edge: int) -> ChannelSnapshot:
         """Freeze the edge's occupancy for a watchdog diagnostic."""
@@ -292,6 +303,6 @@ class ChannelState:
             edge=edge,
             buffered_packets=self.buffered_packets,
             reserved_packets=self.reserved_packets,
-            capacity_packets=self.config.capacity_packets,
+            capacity_packets=self.capacity_packets,
             total_packets=self.total_packets,
         )

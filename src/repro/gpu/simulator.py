@@ -18,15 +18,22 @@ Two execution modes mirror the two engines of the paper:
   accumulate into the *delay* counter, the measured twin of Eq. 8.
 
 Both modes run on virtual cycles — no wall-clock, no randomness — so every
-run is exactly reproducible.
+run is exactly reproducible.  :meth:`Simulator.run_pipeline` leans on that:
+it is a *pure step* (request in, immutable :class:`_SegmentOutcome` out)
+behind a bounded module-level memo, plus one *apply step* that folds an
+outcome into the counters, the ambient tracer and the returned result, so
+a segment shape seen before replays its result instead of re-running the
+event loop (``docs/simulator.md``, "Pure step, apply step, memo").
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+import threading
+from collections import OrderedDict
+from dataclasses import astuple, dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     ChannelError,
@@ -50,7 +57,14 @@ from .occupancy import (
 from .trace import TraceEvent
 from ..obs.tracing import current_tracer
 
-__all__ = ["StageSpec", "PipelineRunResult", "Simulator"]
+__all__ = [
+    "StageSpec",
+    "PipelineRunResult",
+    "Simulator",
+    "SIMULATION_MEMO_LIMIT",
+    "simulation_memo_stats",
+    "clear_simulation_memo",
+]
 
 
 @dataclass(frozen=True)
@@ -79,6 +93,59 @@ class PipelineRunResult:
     trace: List[TraceEvent] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class _SegmentOutcome:
+    """What the pure step of :meth:`Simulator.run_pipeline` produces.
+
+    Immutable values only, so one instance can sit in the memo and be
+    applied any number of times: ``stage_stats`` holds each stage's
+    :class:`KernelRunStats` fields as a tuple (every apply builds fresh
+    objects from them) and ``stage_windows`` each stage's ``(name, first
+    unit start, last unit end, completed units)`` for the ``sim.stage``
+    spans.
+    """
+
+    elapsed_cycles: float
+    delay_cycles: float
+    channel_bytes: float
+    peak_channel_packets: Tuple[int, ...]
+    stage_stats: Tuple[tuple, ...]
+    stage_windows: Tuple[Tuple[str, float, float, int], ...]
+
+
+#: Bound on memoized segment outcomes.  The largest working set any
+#: benchmark workload shows is 328 distinct segment shapes (``plan_cold``);
+#: an outcome is a few hundred bytes, so the cap is about memory hygiene
+#: in a long-lived serving process, not about fitting a workload.
+SIMULATION_MEMO_LIMIT = 1024
+
+#: Memoized pure-step outcomes in LRU order, keyed by the simulator's
+#: device and cost models plus the :meth:`Simulator.run_pipeline` request —
+#: not by segment id: two segments of one shape share an entry.
+_SIM_MEMO: "OrderedDict[tuple, _SegmentOutcome]" = OrderedDict()
+_SIM_STATS: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
+#: Guards the module-level memo + stats (shared by every thread).
+_SIM_LOCK = threading.Lock()
+
+
+def simulation_memo_stats() -> Dict[str, int]:
+    """Hit/miss/eviction counters and current size of the simulation memo."""
+    with _SIM_LOCK:
+        stats = dict(_SIM_STATS)
+        stats["size"] = len(_SIM_MEMO)
+        stats["limit"] = SIMULATION_MEMO_LIMIT
+        return stats
+
+
+def clear_simulation_memo() -> None:
+    """Drop every memoized segment outcome and reset the counters."""
+    with _SIM_LOCK:
+        _SIM_MEMO.clear()
+        _SIM_STATS["hits"] = 0
+        _SIM_STATS["misses"] = 0
+        _SIM_STATS["evictions"] = 0
+
+
 class _StageRuntime:
     """Mutable per-stage state of the event simulation.
 
@@ -101,6 +168,8 @@ class _StageRuntime:
         "busy_cycles",
         "delay_cycles",
         "idle_since",
+        "first_start",
+        "last_end",
     )
 
     def __init__(
@@ -126,6 +195,11 @@ class _StageRuntime:
         self.busy_cycles = 0.0
         self.delay_cycles = 0.0
         self.idle_since: Optional[float] = 0.0  # stages start idle at t=0
+        # Window of the stage's work-group units, for its ``sim.stage``
+        # span: starts are monotone and service time is constant, so the
+        # first start and the latest end are the min and the max.
+        self.first_start: Optional[float] = None
+        self.last_end = 0.0
 
     @property
     def finished(self) -> bool:
@@ -351,6 +425,12 @@ class Simulator:
         The unit of simulation is one work-group of the first stage and the
         corresponding work of every downstream stage (Fig 9's fine-grained
         producer/consumer coordination).
+
+        A request this process has already simulated on an equal device
+        is replayed from the memo rather than re-run — same result, same
+        counters, same trace.  Runs under a fault injector, an active
+        cancellation token or full work-group capture (``trace=True`` /
+        ``Tracer(capture_kernels=True)``) always execute.
         """
         if not stages:
             raise SimulationError("pipeline needs at least one stage")
@@ -359,8 +439,9 @@ class Simulator:
                 f"{len(stages)} stages need {len(stages) - 1} channel "
                 f"configs, got {len(channels)}"
             )
-        launches = [stage.launch for stage in stages]
-        if not check_segment_feasible(launches, self.device):
+        if not check_segment_feasible(
+            [stage.launch for stage in stages], self.device
+        ):
             raise SimulationError(
                 "segment violates device resource limits (Eq. 2); "
                 "reduce per-kernel work-group counts"
@@ -368,9 +449,64 @@ class Simulator:
         if num_tiles <= 0 or tile_tuples <= 0:
             return PipelineRunResult(0.0, [], 0.0, 0.0)
         tracer = current_tracer()
-        want_trace = trace or tracer is not None
-        trace_events: Optional[List[TraceEvent]] = [] if want_trace else None
+        capture = trace or (tracer is not None and tracer.capture_kernels)
+        trace_events: List[TraceEvent] = []
+        request = (
+            tuple(stages), tuple(channels), num_tiles, tile_tuples,
+            tile_bytes, contention_factor,
+        )
+        token = self.cancellation
+        if (
+            capture
+            or self.injector is not None
+            or (token is not None and token.active)
+        ):
+            # Not a function of the request alone: faults and deadlines
+            # act from outside it, and a work-group capture is too big to
+            # keep.  Run live and leave the memo untouched.
+            outcome = self._simulate_segment(
+                *request, trace_events if capture else None
+            )
+        else:
+            key = (self.device, self.memory, self.channel_model) + request
+            with _SIM_LOCK:
+                outcome = _SIM_MEMO.get(key)
+                if outcome is not None:
+                    _SIM_MEMO.move_to_end(key)
+                    _SIM_STATS["hits"] += 1
+                else:
+                    _SIM_STATS["misses"] += 1
+            if outcome is None:
+                # Errors propagate from here, so only finished runs are
+                # ever stored.
+                outcome = self._simulate_segment(*request, None)
+                with _SIM_LOCK:
+                    _SIM_MEMO[key] = outcome
+                    while len(_SIM_MEMO) > SIMULATION_MEMO_LIMIT:
+                        _SIM_MEMO.popitem(last=False)
+                        _SIM_STATS["evictions"] += 1
+        return self._apply_outcome(outcome, tracer, num_tiles, trace_events)
 
+    def _simulate_segment(
+        self,
+        stages: Tuple[StageSpec, ...],
+        channels: Tuple[ChannelConfig, ...],
+        num_tiles: int,
+        tile_tuples: float,
+        tile_bytes: float,
+        contention_factor: float,
+        trace_events: Optional[List[TraceEvent]],
+    ) -> _SegmentOutcome:
+        """The pure step: simulate one validated segment request.
+
+        Reads the device and its cost models and writes nothing — not
+        the counters, not the tracer.  The injector and the cancellation
+        token are consulted only when attached / active, and those runs
+        never reach the memo (see :meth:`run_pipeline`), so every stored
+        outcome is a function of the memo key alone.  ``trace_events``,
+        when given, collects one :class:`TraceEvent` per work-group unit.
+        """
+        launches = [stage.launch for stage in stages]
         shares = dict(allocate_segment_occupancy(launches, self.device))
         # Only C kernels are resident at a time; a kernel's share of the
         # device while resident is therefore larger than a naive split
@@ -442,30 +578,56 @@ class Simulator:
             stages, runtimes, per_unit_costs, channel_states, elapsed,
             delay_total,
         )
-        for stats in stage_stats:
-            self.counters.record(stats)
-        self.counters.add_elapsed(elapsed)
-        if tracer is not None:
-            self._trace_segment(
-                tracer, runtimes, trace_events or [], elapsed, num_tiles
-            )
-        return PipelineRunResult(
+        return _SegmentOutcome(
             elapsed_cycles=elapsed,
-            stage_stats=stage_stats,
             delay_cycles=delay_total,
             channel_bytes=channel_bytes,
-            peak_channel_packets={
-                i: state.peak_packets for i, state in enumerate(channel_states)
-            },
-            trace=trace_events or [],
+            peak_channel_packets=tuple(
+                state.peak_packets for state in channel_states
+            ),
+            stage_stats=tuple(astuple(stats) for stats in stage_stats),
+            stage_windows=tuple(
+                (r.name, r.first_start, r.last_end, r.completed)
+                for r in runtimes
+            ),
+        )
+
+    def _apply_outcome(
+        self,
+        outcome: _SegmentOutcome,
+        tracer,
+        num_tiles: int,
+        trace_events: List[TraceEvent],
+    ) -> PipelineRunResult:
+        """The apply step: the only place a segment run has effects.
+
+        Folds ``outcome`` into the counters, mirrors it into the ambient
+        tracer and builds the caller's result.  Memo hits, misses and
+        live runs all end here, so replayed and recomputed segments leave
+        the same counters and the same trace bytes by construction.  The
+        :class:`KernelRunStats` are built fresh on every call because
+        ``HardwareCounters.kernel_stats`` keeps references to them.
+        """
+        stage_stats = [KernelRunStats(*row) for row in outcome.stage_stats]
+        for stats in stage_stats:
+            self.counters.record(stats)
+        self.counters.add_elapsed(outcome.elapsed_cycles)
+        if tracer is not None:
+            self._trace_segment(tracer, outcome, trace_events, num_tiles)
+        return PipelineRunResult(
+            elapsed_cycles=outcome.elapsed_cycles,
+            stage_stats=stage_stats,
+            delay_cycles=outcome.delay_cycles,
+            channel_bytes=outcome.channel_bytes,
+            peak_channel_packets=dict(enumerate(outcome.peak_channel_packets)),
+            trace=trace_events,
         )
 
     def _trace_segment(
         self,
         tracer,
-        runtimes: List[_StageRuntime],
+        outcome: _SegmentOutcome,
         trace_events: List[TraceEvent],
-        elapsed: float,
         num_tiles: int,
     ) -> None:
         """Mirror one pipelined segment into the ambient span tracer.
@@ -479,7 +641,7 @@ class Simulator:
             "sim.segment",
             category="simulator",
             segment=self.segment or "?",
-            stages=len(runtimes),
+            stages=len(outcome.stage_windows),
             tiles=num_tiles,
         ) as segment_span:
             base = segment_span.start
@@ -493,26 +655,16 @@ class Simulator:
                         stage=event.label,
                     )
             else:
-                windows: Dict[int, List[float]] = {}
-                for event in trace_events:
-                    window = windows.setdefault(
-                        event.stage, [event.start, event.end]
-                    )
-                    window[0] = min(window[0], event.start)
-                    window[1] = max(window[1], event.end)
-                for runtime in runtimes:
-                    window = windows.get(runtime.index)
-                    if window is None:
-                        continue
+                for name, first, last, units in outcome.stage_windows:
                     tracer.add_span(
                         "sim.stage",
                         "simulator",
-                        base + window[0],
-                        base + window[1],
-                        stage=runtime.name,
-                        units=runtime.completed,
+                        base + first,
+                        base + last,
+                        stage=name,
+                        units=units,
                     )
-            tracer.advance(elapsed)
+            tracer.advance(outcome.elapsed_cycles)
 
     def _build_stage_runtimes(
         self,
@@ -741,7 +893,7 @@ class Simulator:
         concurrency = self.device.concurrency
         last = len(runtimes) - 1
         for stage in runtimes[:-1]:
-            capacity = channel_states[stage.index].config.capacity_packets
+            capacity = channel_states[stage.index].capacity_packets
             if stage.packets_out > capacity:
                 raise ChannelError(
                     f"stage {stage.name!r} emits {stage.packets_out} packets "
@@ -764,18 +916,22 @@ class Simulator:
             if index not in resident and len(resident) >= concurrency:
                 return False
             packets_out = stage.packets_out
-            if index < last and packets_out > 0:
-                channel = channel_states[index]
-                if not channel.can_reserve(packets_out):
-                    return False
-                channel.reserve(packets_out)
+            if (
+                index < last
+                and packets_out > 0
+                and not channel_states[index].try_reserve(packets_out)
+            ):
+                return False
             if stage.idle_since is not None:
                 stage.delay_cycles += now - stage.idle_since
                 stage.idle_since = None
+                if stage.first_start is None:
+                    # Stages start idle, so the first unit passes here.
+                    stage.first_start = now
             stage.ready -= 1
             stage.active += 1
             resident.add(index)
-            end = now + stage.service_cycles
+            end = stage.last_end = now + stage.service_cycles
             if trace_events is not None:
                 trace_events.append(
                     TraceEvent(

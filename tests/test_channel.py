@@ -108,6 +108,17 @@ class TestChannelState:
         with pytest.raises(ChannelError):
             state.reserve(1)
 
+    def test_try_reserve_counts_buffered_and_reserved(self):
+        state = ChannelState(ChannelConfig(num_channels=2, depth_packets=4))
+        assert state.capacity_packets == state.config.capacity_packets == 8
+        assert state.try_reserve(3)
+        state.commit(3)
+        assert state.try_reserve(5)
+        assert not state.try_reserve(1)
+        assert (state.buffered_packets, state.reserved_packets) == (3, 5)
+        state.consume(3)
+        assert state.try_reserve(3) and state.in_flight == 8
+
     def test_commit_without_reserve(self):
         state = ChannelState(ChannelConfig())
         with pytest.raises(ChannelError):

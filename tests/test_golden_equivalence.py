@@ -35,6 +35,7 @@ import pytest
 from repro.core import GPLEngine, GPLWithoutCEEngine
 from repro.faults import FaultPlan
 from repro.gpu import AMD_A10
+from repro.gpu.simulator import simulation_memo_stats
 from repro.kbe import KBEEngine
 from repro.model import clear_calibration_cache, clear_search_cache
 from repro.obs import Tracer, use_tracer
@@ -97,6 +98,13 @@ def test_ssb_rows_match_seed(golden, ssb_db, query, engine_name):
     assert _digest(result) == golden[f"ssb/{query}/{engine_name}"]
 
 
+def assert_no_new_simulation(before):
+    """Everything memoizable since ``before`` was replayed, not re-run."""
+    after = simulation_memo_stats()
+    assert after["misses"] == before["misses"]
+    assert after["hits"] > before["hits"]
+
+
 def test_traced_run_matches_seed_byte_for_byte(tpch_db, tmp_path):
     """Simulator determinism: counters and trace export are bit-equal."""
     from repro.model.search import clear_search_cache
@@ -120,6 +128,14 @@ def test_traced_run_matches_seed_byte_for_byte(tpch_db, tmp_path):
         for key, value in result.counters.breakdown().items()
     }
     assert breakdown == witness["breakdown"]
+
+
+def test_traced_run_replays_with_the_simulation_memo_warm(tpch_db, tmp_path):
+    """The same fixture bytes when every segment is a memo hit."""
+    test_traced_run_matches_seed_byte_for_byte(tpch_db, tmp_path)
+    before = simulation_memo_stats()
+    test_traced_run_matches_seed_byte_for_byte(tpch_db, tmp_path)
+    assert_no_new_simulation(before)
 
 
 def _drain_clean(database):
@@ -183,6 +199,19 @@ def serve_trace_sha1(scenario, database) -> str:
 def test_serve_trace_matches_recorded_digest(serve_db, scenario):
     recorded = json.loads((FIXTURES / "trace_serve_sha1.json").read_text())
     assert serve_trace_sha1(scenario, serve_db) == recorded[scenario]
+
+
+@pytest.mark.parametrize("scenario", sorted(SERVE_TRACE_SCENARIOS))
+def test_serve_trace_replays_with_the_simulation_memo_warm(
+    serve_db, scenario
+):
+    """Faulted attempts bypass the memo and everything else hits it; the
+    digest cannot tell."""
+    recorded = json.loads((FIXTURES / "trace_serve_sha1.json").read_text())
+    serve_trace_sha1(scenario, serve_db)
+    before = simulation_memo_stats()
+    assert serve_trace_sha1(scenario, serve_db) == recorded[scenario]
+    assert_no_new_simulation(before)
 
 
 def test_golden_fixture_covers_every_combination(golden):

@@ -6,8 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Tiler, split_into_segments
-from repro.gpu import CacheModel, ChannelConfig, ChannelState, KernelSpec
-from repro.errors import ChannelError
+from repro.gpu import (
+    AMD_A10,
+    NVIDIA_K40,
+    CacheModel,
+    ChannelConfig,
+    ChannelState,
+    DataLocation,
+    KernelLaunch,
+    KernelSpec,
+    Simulator,
+    StageSpec,
+)
+from repro.gpu.simulator import clear_simulation_memo, simulation_memo_stats
+from repro.errors import ChannelError, SimulationError
+from repro.obs import Tracer, use_tracer
 from repro.plans import AggSpec
 from repro.plans.physical import FilterOp
 from repro.plans.runtime import (
@@ -308,7 +321,10 @@ class TestSegmentationProperties:
 class TestChannelStateProperties:
     @given(
         operations=st.lists(
-            st.tuples(st.sampled_from(["reserve", "commit", "consume"]), st.integers(1, 50)),
+            st.tuples(
+                st.sampled_from(["reserve", "try_reserve", "commit", "consume"]),
+                st.integers(1, 50),
+            ),
             max_size=60,
         )
     )
@@ -320,6 +336,9 @@ class TestChannelStateProperties:
             try:
                 if operation == "reserve":
                     state.reserve(count)
+                elif operation == "try_reserve":
+                    fits = state.can_reserve(count)
+                    assert state.try_reserve(count) == fits
                 elif operation == "commit":
                     state.commit(count)
                 else:
@@ -330,6 +349,90 @@ class TestChannelStateProperties:
             assert 0 <= state.reserved_packets
             assert state.in_flight <= capacity
             assert state.peak_packets <= capacity
+
+
+@st.composite
+def segment_requests(draw):
+    """``run_pipeline`` arguments: a stage chain, its channels, tiling."""
+    num_stages = draw(st.integers(1, 4))
+    tile_tuples = draw(st.integers(64, 20_000))
+    stages = []
+    for index in range(num_stages):
+        spec = KernelSpec(
+            name=f"k{index}",
+            compute_instr=draw(st.floats(1.0, 200.0)),
+            memory_instr=draw(st.floats(0.0, 8.0)),
+            pm_per_workitem=32,
+            lm_per_workitem=8,
+        )
+        launch = KernelLaunch(
+            spec=spec,
+            tuples=tile_tuples,
+            workgroups=draw(st.sampled_from([1, 2, 4, 8, 16])),
+            in_bytes_per_tuple=16,
+            out_bytes_per_tuple=8,
+            selectivity=draw(st.floats(0.0, 2.0)),
+            input_location=(
+                DataLocation.GLOBAL if index == 0 else DataLocation.CHANNEL
+            ),
+            output_location=(
+                DataLocation.GLOBAL
+                if index == num_stages - 1
+                else DataLocation.CHANNEL
+            ),
+        )
+        stages.append(
+            StageSpec(
+                launch,
+                aux_reads_per_tuple=draw(st.sampled_from([0.0, 1.0, 3.0])),
+                aux_working_set_bytes=draw(
+                    st.sampled_from([0.0, 64e3, 512e6])
+                ),
+            )
+        )
+    # Shallow channels on purpose: an over-sized burst must fail the
+    # same way cold and warm.
+    channels = [
+        ChannelConfig(
+            num_channels=draw(st.sampled_from([1, 4, 16])),
+            packet_bytes=draw(st.sampled_from([16, 64])),
+            depth_packets=draw(st.sampled_from([64, 2048, 1 << 16])),
+        )
+        for _ in range(num_stages - 1)
+    ]
+    return dict(
+        stages=stages,
+        channels=channels,
+        num_tiles=draw(st.integers(1, 4)),
+        tile_tuples=tile_tuples,
+        tile_bytes=tile_tuples * 16,
+        contention_factor=draw(st.sampled_from([1.0, 1.24])),
+    )
+
+
+class TestSimulationMemoProperties:
+    @given(
+        request=segment_requests(),
+        device=st.sampled_from([AMD_A10, NVIDIA_K40]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_replay_equals_rerun(self, request, device):
+        def run():
+            simulator, tracer = Simulator(device), Tracer()
+            with use_tracer(tracer):
+                try:
+                    result = simulator.run_pipeline(**request)
+                except SimulationError as exc:
+                    result = repr(exc)
+            return result, simulator.counters, tracer.to_json()
+
+        clear_simulation_memo()
+        cold = run()
+        warm = run()
+        assert warm == cold
+        stats = simulation_memo_stats()
+        finished = not isinstance(cold[0], str)
+        assert (stats["hits"], stats["size"]) == (finished, finished)
 
 
 class TestCacheProperties:

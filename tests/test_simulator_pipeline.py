@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.cancel import CancellationToken
+from repro.errors import DeadlineExceededError, SimulationError
+from repro.faults import FaultInjector, FaultPlan
 from repro.gpu import (
     AMD_A10,
+    NVIDIA_K40,
     ChannelConfig,
     DataLocation,
     KernelLaunch,
@@ -12,6 +15,9 @@ from repro.gpu import (
     Simulator,
     StageSpec,
 )
+from repro.gpu import simulator as simulator_module
+from repro.gpu.simulator import clear_simulation_memo, simulation_memo_stats
+from repro.obs import Tracer, use_tracer
 
 
 def spec(name, compute=10.0, memory=2.0):
@@ -281,3 +287,142 @@ class TestPipelineDynamics:
             ).elapsed_cycles
 
         assert run(512 * 1024 * 1024) > run(64 * 1024)
+
+
+RUN = dict(num_tiles=4, tile_tuples=25_000, tile_bytes=25_000 * 16)
+
+
+def run_two_stage(simulator=None, **overrides):
+    stages, channels = two_stage()
+    simulator = simulator or Simulator(AMD_A10)
+    return simulator.run_pipeline(stages, channels, **{**RUN, **overrides})
+
+
+class TestSimulationMemo:
+    """A repeated request replays its outcome instead of re-simulating."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        clear_simulation_memo()
+        yield
+        clear_simulation_memo()
+
+    def test_warm_call_equals_cold_call(self):
+        def run(segment):
+            simulator, tracer = Simulator(AMD_A10), Tracer()
+            simulator.begin_segment(segment)
+            with use_tracer(tracer):
+                result = run_two_stage(simulator)
+            return result, simulator.counters, tracer.to_json()
+
+        cold, cold_counters, cold_json = run("first")
+        warm, warm_counters, warm_json = run("second")
+        assert simulation_memo_stats() == {
+            "hits": 1, "misses": 1, "evictions": 0, "size": 1,
+            "limit": simulator_module.SIMULATION_MEMO_LIMIT,
+        }
+        assert warm == cold
+        assert warm_counters == cold_counters
+        # The segment id is not part of the key, yet each replay is
+        # traced under its own.
+        assert '"second"' in warm_json
+        assert warm_json == cold_json.replace('"first"', '"second"')
+
+    def test_hits_hand_out_fresh_stats(self):
+        cold = run_two_stage()
+        pristine = cold.stage_stats[0].compute_cycles
+        cold.stage_stats[0].compute_cycles = -1.0
+        cold.peak_channel_packets[0] = -1
+        simulator = Simulator(AMD_A10)
+        warm = run_two_stage(simulator)
+        assert warm.stage_stats[0].compute_cycles == pristine
+        assert warm.peak_channel_packets[0] > 0
+        assert simulator.counters.kernel_stats[0] is warm.stage_stats[0]
+        assert simulation_memo_stats()["hits"] == 1
+
+    def test_key_covers_device_and_request(self):
+        run_two_stage()
+        run_two_stage(Simulator(NVIDIA_K40))
+        run_two_stage(contention_factor=1.5)
+        run_two_stage(num_tiles=5)
+        stats = simulation_memo_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 4, 4)
+        assert run_two_stage(
+            Simulator(NVIDIA_K40)
+        ).elapsed_cycles != run_two_stage().elapsed_cycles
+
+    @pytest.mark.parametrize("warm_first", [False, True])
+    def test_impure_runs_bypass_the_memo(self, warm_first):
+        if warm_first:
+            run_two_stage()
+        before = simulation_memo_stats()
+        clean = run_two_stage().elapsed_cycles
+        after_clean = simulation_memo_stats()
+        assert after_clean != before
+
+        injector = FaultInjector(FaultPlan.parse("stall@other-seg:*"))
+        assert run_two_stage(
+            Simulator(AMD_A10, injector=injector)
+        ).elapsed_cycles == clean
+        armed = CancellationToken(1e12, query="Q")
+        assert run_two_stage(
+            Simulator(AMD_A10, cancellation=armed)
+        ).elapsed_cycles == clean
+        with use_tracer(Tracer(capture_kernels=True)):
+            assert run_two_stage().elapsed_cycles == clean
+        captured = run_two_stage(trace=True)
+        assert len(captured.trace) == 2 * 4 * 16
+        assert simulation_memo_stats() == after_clean
+
+        # A token that can never fire is as good as none.
+        run_two_stage(Simulator(AMD_A10, cancellation=CancellationToken()))
+        assert simulation_memo_stats()["hits"] == after_clean["hits"] + 1
+
+    def test_plain_traced_run_keeps_no_workgroup_events(self):
+        with use_tracer(Tracer()) as tracer:
+            result = run_two_stage()
+        assert result.trace == []
+        stage_spans = [s for s in tracer.walk() if s.name == "sim.stage"]
+        assert [s.attrs["units"] for s in stage_spans] == [64, 64]
+
+    def test_mid_segment_deadline_is_the_same_warm_or_cold(self):
+        total = run_two_stage().elapsed_cycles
+        clear_simulation_memo()
+
+        def expire():
+            token = CancellationToken(total / 8, query="Q")
+            with pytest.raises(DeadlineExceededError) as info:
+                run_two_stage(Simulator(AMD_A10, cancellation=token))
+            return info.value.elapsed_cycles, token.checks
+
+        cold = expire()
+        assert simulation_memo_stats()["size"] == 0
+        run_two_stage()
+        assert expire() == cold
+        assert total / 8 < cold[0] < total and cold[1] == 1
+
+    def test_errors_are_never_stored(self):
+        stages = [
+            stage("a", 1_000_000, sel=1.0, wg=2, first=True),
+            stage("b", 1_000_000, sel=0.0, wg=2, last=True),
+        ]
+        tiny = ChannelConfig(num_channels=1, depth_packets=16)
+        for _ in range(2):
+            with pytest.raises(SimulationError):
+                Simulator(AMD_A10).run_pipeline(
+                    stages, [tiny], num_tiles=1, tile_tuples=1_000_000,
+                    tile_bytes=16_000_000,
+                )
+        stats = simulation_memo_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 2, 0)
+
+    def test_lru_evicts_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(simulator_module, "SIMULATION_MEMO_LIMIT", 2)
+        for tiles in (1, 2, 1, 3):  # 1 is refreshed, so 2 is the victim
+            run_two_stage(num_tiles=tiles)
+        stats = simulation_memo_stats()
+        assert (stats["size"], stats["limit"], stats["evictions"]) == (2, 2, 1)
+        run_two_stage(num_tiles=1)
+        assert simulation_memo_stats()["hits"] == 2
+        run_two_stage(num_tiles=2)
+        assert simulation_memo_stats()["misses"] == 4
