@@ -186,8 +186,14 @@ class CalibrationTable:
         return sorted(self._index)
 
     def series(self, num_channels: int, packet_bytes: int) -> List[CalibrationPoint]:
+        return list(self._series(num_channels, packet_bytes))
+
+    def _series(
+        self, num_channels: int, packet_bytes: int
+    ) -> List[CalibrationPoint]:
+        """The stored (not copied) points of one (n, p), sorted by size."""
         try:
-            return list(self._index[(num_channels, packet_bytes)])
+            return self._index[(num_channels, packet_bytes)]
         except KeyError:
             raise CalibrationError(
                 f"no calibration for n={num_channels}, p={packet_bytes}"
@@ -197,13 +203,12 @@ class CalibrationTable:
         self, num_channels: int, packet_bytes: int, data_bytes: float
     ) -> float:
         """Γ(n, p, d) in bytes per cycle, log-interpolated in ``d``."""
-        series = self.series(num_channels, packet_bytes)
+        series = self._series(num_channels, packet_bytes)
         if data_bytes <= 0:
             return series[0].bytes_per_cycle
-        sizes = [point.data_bytes for point in series]
-        if data_bytes <= sizes[0]:
+        if data_bytes <= series[0].data_bytes:
             return series[0].bytes_per_cycle
-        if data_bytes >= sizes[-1]:
+        if data_bytes >= series[-1].data_bytes:
             return series[-1].bytes_per_cycle
         for low, high in zip(series, series[1:]):
             if low.data_bytes <= data_bytes <= high.data_bytes:

@@ -20,7 +20,7 @@ import hashlib
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import GPLConfig
@@ -197,28 +197,10 @@ class ConfigurationSearch:
                     return cached
             if span is not None:
                 span.attrs["cached"] = False
-            best: Optional[SegmentChoice] = None
-            for tile_bytes in self.tile_candidates:
-                channel = self._channel_for(segment, tile_bytes)
-                for workgroups in self.workgroup_candidates:
-                    config = GPLConfig(
-                        tile_bytes=tile_bytes,
-                        channel=channel,
-                        default_workgroups=workgroups,
-                    )
-                    estimate = self.model.estimate_segment(segment, config)
-                    if best is None or (
-                        estimate.total_cycles < best.predicted_cycles
-                    ):
-                        best = SegmentChoice(
-                            segment=segment.name,
-                            config=config,
-                            estimate=estimate,
-                        )
-            assert best is not None  # tile_candidates is never empty
+            best = self._search(segment)
             if self.use_cache:
                 with _SEARCH_LOCK:
-                    _SEARCH_CACHE[self._cache_key(segment)] = best
+                    _SEARCH_CACHE[key] = best
                     while len(_SEARCH_CACHE) > _SEARCH_CACHE_LIMIT:
                         _SEARCH_CACHE.popitem(last=False)
                         _SEARCH_STATS["evictions"] += 1
@@ -237,6 +219,43 @@ class ConfigurationSearch:
         return configs, total
 
     # ------------------------------------------------------------------
+
+    def _search(self, segment: SegmentCostInput) -> SegmentChoice:
+        """Every (Δ, rung) cell, from one set of terms per Δ and per rung.
+
+        Cells are visited tile-major, rung-minor, and only a strictly
+        smaller T_Sk replaces the best, so the first of equal cells wins.
+        """
+        # Rungs first, as estimate_segment does: an unplaceable kernel
+        # fails before Γ is read.
+        rungs = []
+        for workgroups in self.workgroup_candidates:
+            config = GPLConfig(default_workgroups=workgroups)
+            rungs.append(
+                (workgroups, self.model.occupancy_terms(segment, config))
+            )
+        tiles = []
+        for tile_bytes in self.tile_candidates:
+            config = GPLConfig(
+                tile_bytes=tile_bytes,
+                channel=self._channel_for(segment, tile_bytes),
+            )
+            tiles.append((config, self.model.tile_terms(segment, config)))
+        best = None
+        for tile_config, tile in tiles:
+            for workgroups, occupancy in rungs:
+                total = self.model.combine(tile, occupancy).total
+                if best is None or total < best[0]:
+                    best = (total, tile_config, tile, workgroups, occupancy)
+        assert best is not None  # tile_candidates is never empty
+        _, tile_config, tile, workgroups, occupancy = best
+        return SegmentChoice(
+            segment=segment.name,
+            config=replace(tile_config, default_workgroups=workgroups),
+            estimate=self.model.estimate_from_terms(
+                segment, tile, occupancy
+            ),
+        )
 
     def _channel_for(
         self, segment: SegmentCostInput, tile_bytes: int

@@ -1,17 +1,19 @@
 """Property-based tests on the analytical cost model."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import GPLConfig
-from repro.gpu import AMD_A10, KernelSpec
+from repro.gpu import AMD_A10, NVIDIA_K40, KernelSpec
 from repro.model import (
+    ConfigurationSearch,
     CostModel,
     KernelCostInput,
     SegmentCostInput,
     calibrate_channels,
 )
+from repro.plans import kernels as library
 
 MIB = 1024 * 1024
 
@@ -119,3 +121,120 @@ class TestModelProperties:
         first = model().estimate_segment(segment, config)
         second = model().estimate_segment(segment, config)
         assert first.total_cycles == second.total_cycles
+
+
+#: Kernel specs exactly as the plan lowering builds them.
+_LIBRARY_SPECS = (
+    library.map_kernel([], 2),
+    library.partition_kernel(2),
+    library.hash_build_kernel(1),
+    library.probe_kernel(1),
+    library.probe_kernel(3),
+    library.reduce_kernel([]),
+    library.group_accumulate_kernel([], 2),
+    library.aggregate_finalize_kernel(),
+    library.sort_kernel(100_000, 2),
+)
+_WIDTHS = (0, 4, 8, 16, 40)
+_SEARCHES = {}
+
+
+def search_for(device) -> ConfigurationSearch:
+    if device.name not in _SEARCHES:
+        _SEARCHES[device.name] = ConfigurationSearch(
+            device, calibrate_channels(device), use_cache=False
+        )
+    return _SEARCHES[device.name]
+
+
+def brute_force(search, segment):
+    """Every grid cell through ``estimate_segment``; strict ``<`` keeps
+    the first of equal totals."""
+    best = None
+    for tile_bytes in search.tile_candidates:
+        channel = search._channel_for(segment, tile_bytes)
+        for workgroups in search.workgroup_candidates:
+            config = GPLConfig(
+                tile_bytes=tile_bytes,
+                channel=channel,
+                default_workgroups=workgroups,
+            )
+            estimate = search.model.estimate_segment(segment, config)
+            if best is None or estimate.total_cycles < best[1].total_cycles:
+                best = (config, estimate)
+    return best
+
+
+@st.composite
+def library_segments(draw):
+    depth = draw(st.integers(min_value=1, max_value=8))
+    kernels = tuple(
+        KernelCostInput(
+            spec=draw(st.sampled_from(_LIBRARY_SPECS)),
+            selectivity=draw(st.floats(min_value=0.0, max_value=1.5)),
+            in_width=draw(st.sampled_from(_WIDTHS)),
+            out_width=draw(st.sampled_from(_WIDTHS)),
+            aux_reads_per_tuple=draw(st.sampled_from((0.0, 1.0, 2.5))),
+            aux_working_set_bytes=draw(
+                st.floats(min_value=0.0, max_value=512 * MIB)
+            ),
+            is_leaf=index == 0,
+        )
+        for index in range(depth)
+    )
+    return SegmentCostInput(
+        name="drawn",
+        kernels=kernels,
+        source_rows=draw(st.floats(min_value=1.0, max_value=5e6)),
+        source_width=draw(st.sampled_from((4, 8, 16, 40, 96))),
+    )
+
+
+#: Eight probes: from the fifth rung up Eq. 2 fails on both presets,
+#: ``fit_workgroups`` halves every count and the estimate pays
+#: scheduling contention.
+DEEP_PROBE_CHAIN = SegmentCostInput(
+    name="deep",
+    kernels=tuple(
+        KernelCostInput(
+            spec=library.probe_kernel(2),
+            selectivity=0.9,
+            in_width=16,
+            out_width=16,
+            aux_reads_per_tuple=1.0,
+            aux_working_set_bytes=6 * MIB,
+            is_leaf=index == 0,
+        )
+        for index in range(8)
+    ),
+    source_rows=3e6,
+    source_width=16,
+)
+
+
+class TestSearchEqualsBruteForce:
+    @given(
+        segment=library_segments(),
+        device=st.sampled_from((AMD_A10, NVIDIA_K40)),
+    )
+    @example(segment=DEEP_PROBE_CHAIN, device=AMD_A10)
+    @example(segment=DEEP_PROBE_CHAIN, device=NVIDIA_K40)
+    @settings(max_examples=60, deadline=None)
+    def test_best_for_segment_is_the_first_minimum(self, segment, device):
+        search = search_for(device)
+        choice = search.best_for_segment(segment)
+        config, estimate = brute_force(search, segment)
+        assert choice.config == config
+        assert choice.predicted_cycles == estimate.total_cycles
+        assert choice.estimate == estimate
+
+    @pytest.mark.parametrize("device", (AMD_A10, NVIDIA_K40))
+    def test_deep_chain_reaches_fitted_cells(self, device):
+        search = search_for(device)
+        cells = [
+            search.model.estimate_segment(
+                DEEP_PROBE_CHAIN, GPLConfig(default_workgroups=workgroups)
+            )
+            for workgroups in search.workgroup_candidates
+        ]
+        assert [cell.feasible for cell in cells] == [True] * 4 + [False] * 3

@@ -1,18 +1,70 @@
-"""Tests for the configuration search (Section 4.1's parameter tuning)."""
+"""Tests for the configuration search (Section 4.1's parameter tuning).
+
+``fixtures/search_choices_sha1.json`` pins the search's output: for every
+segment of every TPC-H and SSB catalogue query at SF 0.01 and 0.1 on both
+device presets, the SHA-1 of ``repr((choice.config, choice.estimate))``.
+It was recorded from the exhaustive per-cell search, before the search
+was factored into per-tile and per-rung terms; re-record it with
+``PYTHONPATH=src python -m tests.test_search`` only for a change that is
+meant to move the model.
+"""
+
+import hashlib
+import json
+import pathlib
 
 import pytest
 
 from repro.core import GPLConfig, GPLEngine
-from repro.gpu import AMD_A10, NVIDIA_K40
+from repro.errors import ModelError, OccupancyError
+from repro.gpu import AMD_A10, NVIDIA_K40, KernelSpec
 from repro.model import (
+    CalibrationTable,
     ConfigurationSearch,
     CostModel,
+    KernelCostInput,
+    SegmentCostInput,
     TILE_SIZE_CANDIDATES,
     calibrate_channels,
     plan_cost_inputs,
     workgroup_ladder,
 )
-from repro.tpch import q8, q14
+from repro.ssb import SSB_QUERIES, generate_ssb
+from repro.tpch import QUERIES, generate_database, q8, q14
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SEARCH_PIN = FIXTURES / "search_choices_sha1.json"
+MIB = 1024 * 1024
+
+
+def search_choice_digests():
+    """``{device/benchmark/SF/query/segment: sha1}`` over the catalogue."""
+    digests = {}
+    catalogues = (
+        ("tpch", generate_database, QUERIES),
+        ("ssb", generate_ssb, SSB_QUERIES),
+    )
+    for scale in (0.01, 0.1):
+        for benchmark, generate, queries in catalogues:
+            database = generate(scale=scale)
+            for device in (AMD_A10, NVIDIA_K40):
+                search = ConfigurationSearch(
+                    device, calibrate_channels(device), use_cache=False
+                )
+                engine = GPLEngine(database, device)
+                for name, spec in sorted(queries.items()):
+                    plan = engine.prepare(spec)
+                    for segment in plan_cost_inputs(plan, database):
+                        key = "/".join(
+                            (device.name, benchmark, f"SF{scale}", name,
+                             segment.name)
+                        )
+                        assert key not in digests
+                        choice = search.best_for_segment(segment)
+                        digests[key] = hashlib.sha1(
+                            repr((choice.config, choice.estimate)).encode()
+                        ).hexdigest()
+    return digests
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +216,112 @@ class TestSearchCacheBound:
 
         with pytest.raises(ValueError):
             set_search_cache_limit(0)
+
+
+class TestRecordedChoices:
+    def test_catalogue_choices_match_recorded_digests(self):
+        recorded = json.loads(SEARCH_PIN.read_text())
+        assert search_choice_digests() == recorded
+
+
+def _leaf(spec_name="k_scan", lm_per_workitem=0):
+    return KernelCostInput(
+        spec=KernelSpec(
+            name=spec_name,
+            compute_instr=20.0,
+            memory_instr=2.0,
+            pm_per_workitem=32,
+            lm_per_workitem=lm_per_workitem,
+        ),
+        selectivity=0.5,
+        in_width=16,
+        out_width=8,
+        is_leaf=True,
+    )
+
+
+class TestSearchEdgeCases:
+    def test_tied_cells_keep_the_first_candidate(self):
+        # One leaf kernel over 64 KiB: every Δ candidate holds the whole
+        # input in one tile, and without a channel or an aux structure
+        # nothing else in Eqs 3–9 reads Δ, so the seven tiles of a rung
+        # tie exactly and the first one in candidate order must win.
+        segment = SegmentCostInput(
+            name="tiny", kernels=(_leaf(),), source_rows=4096,
+            source_width=16,
+        )
+        table = calibrate_channels(AMD_A10)
+        model = CostModel(AMD_A10, table)
+        forward = ConfigurationSearch(AMD_A10, table, use_cache=False)
+        choice = forward.best_for_segment(segment)
+        tied = {
+            model.estimate_segment(
+                segment, choice.config.with_tile_bytes(tile_bytes)
+            ).total_cycles
+            for tile_bytes in TILE_SIZE_CANDIDATES
+        }
+        assert tied == {choice.predicted_cycles}
+        assert choice.config.tile_bytes == TILE_SIZE_CANDIDATES[0]
+        backward = ConfigurationSearch(
+            AMD_A10, table, tile_candidates=TILE_SIZE_CANDIDATES[::-1],
+            use_cache=False,
+        )
+        assert (
+            backward.best_for_segment(segment).config.tile_bytes
+            == TILE_SIZE_CANDIDATES[-1]
+        )
+
+    def test_zero_throughput_on_a_losing_tile_still_raises(self):
+        # Γ is stubbed to 0 only at working sets of 16 MiB and above,
+        # which only the 16 MiB tile reaches (8 MiB + its 4 MiB flow is
+        # 12 MiB); that tile does not win, yet evaluating it must fail.
+        segment = SegmentCostInput(
+            name="chain",
+            kernels=(
+                _leaf(),
+                KernelCostInput(
+                    spec=_leaf().spec, selectivity=1.0, in_width=8,
+                    out_width=8,
+                ),
+            ),
+            source_rows=2_000_000,
+            source_width=16,
+        )
+        table = calibrate_channels(AMD_A10)
+        real = ConfigurationSearch(AMD_A10, table, use_cache=False)
+        assert real.best_for_segment(segment).config.tile_bytes < 16 * MIB
+
+        class ZeroForLargeWorkingSets(CalibrationTable):
+            def throughput(self, num_channels, packet_bytes, data_bytes):
+                if data_bytes >= 16 * MIB:
+                    return 0.0
+                return super().throughput(
+                    num_channels, packet_bytes, data_bytes
+                )
+
+        stub = ZeroForLargeWorkingSets(device=AMD_A10)
+        for point in table.points:
+            stub.add(point)
+        with pytest.raises(ModelError):
+            ConfigurationSearch(
+                AMD_A10, stub, use_cache=False
+            ).best_for_segment(segment)
+
+    def test_unplaceable_kernel_raises_occupancy_error(self):
+        # 1 KiB of local memory per work-item: one 64-wide work-group
+        # needs 64 KiB, twice a CU's local memory.
+        segment = SegmentCostInput(
+            name="fat", kernels=(_leaf(lm_per_workitem=1024),),
+            source_rows=10_000, source_width=16,
+        )
+        search = ConfigurationSearch(
+            AMD_A10, calibrate_channels(AMD_A10), use_cache=False
+        )
+        with pytest.raises(OccupancyError):
+            search.best_for_segment(segment)
+
+
+if __name__ == "__main__":
+    SEARCH_PIN.write_text(
+        json.dumps(search_choice_digests(), indent=1, sort_keys=True) + "\n"
+    )
