@@ -185,9 +185,9 @@ class EngineBase:
         """Optimize and lower ``spec`` (exposed for inspection/tests).
 
         Routed through :attr:`plan_cache` when one is attached; cached
-        plans are safe to re-execute because every stateful sink resets
-        itself in ``start()`` and all run state lives in the per-execution
-        :class:`~repro.plans.ExecutionContext`.
+        plans are safe to re-execute because every stateful sink hands
+        its state off in ``finalize()`` and all run state lives in the
+        per-execution :class:`~repro.plans.ExecutionContext`.
         """
         with maybe_span(
             "plan.prepare", category="plan", query=spec.name, engine=self.name

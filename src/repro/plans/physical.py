@@ -396,7 +396,11 @@ class SinkOp:
         raise NotImplementedError
 
     def finalize(self, context: ExecutionContext) -> Optional[Batch]:
-        """Blocking barrier; returns the materialized output, if any."""
+        """Blocking barrier; returns the materialized output, if any.
+
+        Hands the run's state off and drops it, so a cached plan holds
+        no data between executions and re-executes like a fresh one.
+        """
         raise NotImplementedError
 
     def gpl_kernels(self) -> List[KernelTemplate]:
@@ -427,14 +431,10 @@ class BuildSink(SinkOp):
     def finalize(self, context: ExecutionContext) -> Optional[Batch]:
         if self._table is None:
             raise ExecutionError("BuildSink.finalize before start")
-        self._table.finalize()
-        context.hash_tables[self.build_id] = self._table
+        table, self._table = self._table, None
+        table.finalize()
+        context.hash_tables[self.build_id] = table
         return None
-
-    @property
-    def output_bytes(self) -> int:
-        """The hash table is materialized in global memory in both engines."""
-        return self._table.nbytes if self._table is not None else 0
 
     def _template(self) -> KernelTemplate:
         return KernelTemplate(
@@ -518,7 +518,8 @@ class AggSink(SinkOp):
     def finalize(self, context: ExecutionContext) -> Optional[Batch]:
         if self._state is None:
             raise ExecutionError("AggSink.finalize before start")
-        return self._state.result()
+        state, self._state = self._state, None
+        return state.result()
 
     @property
     def out_width(self) -> int:
@@ -601,9 +602,10 @@ class SortSink(SinkOp):
         self._parts.append(batch)
 
     def finalize(self, context: ExecutionContext) -> Optional[Batch]:
+        parts, self._parts = self._parts, []
         merged = {
-            name: np.concatenate([part[name] for part in self._parts])
-            if self._parts
+            name: np.concatenate([part[name] for part in parts])
+            if parts
             else np.empty(0)
             for name in self.in_columns
         }
@@ -619,7 +621,10 @@ class SortSink(SinkOp):
         return {name: merged[name][order] for name in self.in_columns}
 
     def _rows_estimate(self) -> int:
-        return max(2, sum(batch_rows(part) for part in self._parts)) or 2
+        # Rows consumed so far: KBE and Ocelot build their templates
+        # after the stream reached the sink, GPL before it starts, so
+        # GPL's sort kernel is always sized for 2 rows.
+        return max(2, sum(batch_rows(part) for part in self._parts))
 
     def gpl_kernels(self) -> List[KernelTemplate]:
         return [
@@ -656,9 +661,10 @@ class CollectSink(SinkOp):
         self._parts.append(batch)
 
     def finalize(self, context: ExecutionContext) -> Optional[Batch]:
+        parts, self._parts = self._parts, []
         merged = {
-            name: np.concatenate([part[name] for part in self._parts])
-            if self._parts
+            name: np.concatenate([part[name] for part in parts])
+            if parts
             else np.empty(0)
             for name in self.in_columns
         }

@@ -290,6 +290,15 @@ class ShardedExecutor:
         self.max_retries = max_retries
         self.engines = tuple(engines)
         self.partitioned_joins = partitioned_joins
+        if plan_cache is None:
+            # Deferred: repro.serve imports this module.
+            from ..serve.caches import PlanCache
+
+            plan_cache = PlanCache()
+        #: Shared by every shard and the gather merge, so a repeated
+        #: scatter skips optimization, lowering and gather statistics.
+        #: Keys cover each shard database's row counts and bytes, so
+        #: shards keep their own plans rather than one rebound plan.
         self.plan_cache = plan_cache
         self.deadline_cycles = deadline_cycles
         self.checkpoint_store = checkpoint_store

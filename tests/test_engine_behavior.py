@@ -5,11 +5,16 @@ relative orderings (who is faster, who materializes less), never absolute
 times.
 """
 
+import json
+
 import pytest
 
 from repro.core import GPLConfig, GPLEngine, GPLWithoutCEEngine
 from repro.kbe import KBEEngine
+from repro.obs import Tracer, use_tracer
 from repro.ocelot import OcelotEngine
+from repro.plans import GroupAggState, HashTable
+from repro.serve import PlanCache
 from repro.tpch import generate_database, query_by_name
 
 
@@ -172,3 +177,61 @@ class TestOcelotBehavior:
         assert (
             ocelot.counters.kernel_launches < kbe.counters.kernel_launches
         )
+
+
+def _traced(engine, spec):
+    """Run ``spec`` under a tracer; return the result and its events
+    without the ``plan`` track, which differs by design (a cache hit
+    neither optimizes nor lowers)."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = engine.execute(spec)
+    events = json.loads(tracer.to_json())["traceEvents"]
+    return result, [event for event in events if event.get("cat") != "plan"]
+
+
+def _held_state(sink):
+    """Attributes through which ``sink`` still reaches run data."""
+    return [
+        name
+        for name, value in vars(sink).items()
+        if isinstance(value, (HashTable, GroupAggState, dict))
+        or (isinstance(value, list) and value)
+    ]
+
+
+class TestCachedPlanReplay:
+    """A cached plan re-executes exactly like a freshly lowered one.
+
+    Q5 and Q9 both end in a ``SortSink``, whose GPL kernel is sized from
+    the sink's contents when the templates are built: a sink that kept
+    the previous run's rows would move the second run's cycles.
+    """
+
+    @pytest.mark.parametrize("query", ["Q5", "Q9"])
+    @pytest.mark.parametrize(
+        "engine_cls",
+        [GPLEngine, GPLWithoutCEEngine, KBEEngine, OcelotEngine],
+        ids=["gpl", "gpl-woce", "kbe", "ocelot"],
+    )
+    def test_second_run_matches_a_fresh_plan(self, db, amd, engine_cls, query):
+        spec = query_by_name(query)
+        cached = engine_cls(db, amd)
+        cached.plan_cache = PlanCache()
+        fresh = engine_cls(db, amd)  # plans anew on every execute
+        # Both engines run twice, so engine-level state (Ocelot's
+        # hash-table cache) matches and only the plan's origin differs.
+        cached.execute(spec)
+        fresh.execute(spec)
+        warm, warm_events = _traced(cached, spec)
+        cold, cold_events = _traced(fresh, spec)
+        assert cached.plan_cache.stats.hits == 1
+        assert warm.rows() == cold.rows()
+        assert warm.counters == cold.counters
+        assert warm_events == cold_events
+
+        plan = cached.prepare(spec)  # the cached plan itself
+        assert {
+            pipeline.pipeline_id: _held_state(pipeline.sink)
+            for pipeline in plan.pipelines
+        } == {pipeline.pipeline_id: [] for pipeline in plan.pipelines}

@@ -15,11 +15,18 @@ edge cases.
 import numpy as np
 import pytest
 
+import repro.core.base
 from repro.core import GPLEngine
 from repro.errors import ExecutionError, PlanError, SchemaError
 from repro.faults import FaultPlan
 from repro.gpu import AMD_A10, NVIDIA_K40
-from repro.plans import AggSpec, JoinEdge, QuerySpec, TableRef
+from repro.plans import (
+    AggSpec,
+    JoinEdge,
+    QuerySpec,
+    SelingerOptimizer,
+    TableRef,
+)
 from repro.relational import (
     Arith,
     Col,
@@ -36,7 +43,7 @@ from repro.relational import (
     partition_table,
     round_robin_assignment,
 )
-from repro.serve import QueryService
+from repro.serve import PlanCache, QueryService
 from repro.shard import (
     DEFAULT_POOL_SEED,
     DevicePool,
@@ -46,7 +53,7 @@ from repro.shard import (
     decompose,
     substitute_columns,
 )
-from repro.tpch import q5, q9, q14, query_by_name
+from repro.tpch import generate_database, q5, q9, q14, query_by_name
 
 # ---------------------------------------------------------------------------
 # device pools
@@ -500,3 +507,83 @@ class TestPooledService:
     def test_pool_plus_tuned_rejected(self, tiny_db):
         with pytest.raises(ExecutionError):
             QueryService(tiny_db, AMD_A10, tuned=True, pool=DevicePool(2))
+
+
+# ---------------------------------------------------------------------------
+# plan reuse across scatters
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def scatter_db():
+    # At SF 0.02 Q9's four shard partitions lower to two plan shapes.
+    return generate_database(scale=0.02)
+
+
+@pytest.fixture()
+def planning_calls(monkeypatch):
+    """Count optimizer and lowering calls made by any engine."""
+    calls = {"optimize": 0, "lower": 0}
+    optimize, lower = SelingerOptimizer.optimize, repro.core.base.lower
+
+    def counted_optimize(self, spec):
+        calls["optimize"] += 1
+        return optimize(self, spec)
+
+    def counted_lower(*args, **kwargs):
+        calls["lower"] += 1
+        return lower(*args, **kwargs)
+
+    monkeypatch.setattr(SelingerOptimizer, "optimize", counted_optimize)
+    monkeypatch.setattr(repro.core.base, "lower", counted_lower)
+    return calls
+
+
+class TestScatterPlanCache:
+    """The executor owns a plan cache: a repeated scatter plans nothing."""
+
+    @pytest.mark.parametrize("name", ["Q5", "Q7", "Q8", "Q9", "Q14"])
+    def test_second_scatter_reuses_every_plan(
+        self, scatter_db, planning_calls, name
+    ):
+        executor = ShardedExecutor(scatter_db, DevicePool(4))
+        spec = query_by_name(name)
+        first = executor.execute(spec)
+        stats = executor.plan_cache.stats
+        # Four shard plans and the gather plan, each looked up twice
+        # (resilient admission, then execution).
+        assert (stats.misses, stats.hits) == (5, 5)
+        assert planning_calls == {"optimize": 5, "lower": 5}
+
+        second = executor.execute(spec)
+        assert planning_calls == {"optimize": 5, "lower": 5}
+        assert (stats.misses, stats.hits) == (5, 15)
+        assert second.rows() == first.rows()
+        assert second.counters.elapsed_cycles == first.counters.elapsed_cycles
+        assert second.shard == first.shard
+
+    def test_shard_plans_are_cached_per_shard(self, scatter_db, monkeypatch):
+        executor = ShardedExecutor(scatter_db, DevicePool(4))
+        stored = {}
+        store = executor.plan_cache.store
+
+        def recording_store(key, plan):
+            stored[key] = plan
+            store(key, plan)
+
+        monkeypatch.setattr(executor.plan_cache, "store", recording_store)
+        executor.execute(q9())
+        assert len(stored) == 5
+        shard_plans = list(stored.values())[:4]  # the gather plan is last
+        # One plan rebound to every shard would be wrong here.
+        assert len({plan.describe() for plan in shard_plans}) == 2
+
+    def test_passed_cache_is_the_one_used(self, tiny_db):
+        cache = PlanCache()
+        executor = ShardedExecutor(tiny_db, DevicePool(2), plan_cache=cache)
+        assert executor.plan_cache is cache
+        executor.execute(q14())
+        assert len(cache) == 3
+
+        service = QueryService(tiny_db, AMD_A10, pool=DevicePool(2))
+        assert service._sharded.plan_cache is service.plan_cache
