@@ -337,27 +337,21 @@ def segment_cache_keys(
 ) -> Tuple[str, ...]:
     """One content key per pipeline of ``plan``, in plan order.
 
-    Key ``i`` is a running SHA-1 over the database fingerprint (table
-    names, row counts, byte sizes), the device name, the plan knobs, and
-    the full descriptions of pipelines ``0..i``.  Chaining the digest
-    over the *prefix* makes the key conservative and sound: a pipeline's
-    inputs (its source intermediate, the hash tables its probes consult)
-    are always produced by earlier pipelines, so two plans agreeing on a
-    prefix key agree on everything segment ``i`` can observe.
+    Key ``i`` is a running SHA-1 over the database fingerprint
+    (:attr:`~repro.relational.Database.fingerprint`: table names, row
+    counts, byte sizes — the same one plan cache keys hash), the device
+    name, the plan knobs, and the full descriptions of pipelines
+    ``0..i``.  Chaining the digest over the *prefix* makes the key
+    conservative and sound: a pipeline's inputs (its source
+    intermediate, the hash tables its probes consult) are always
+    produced by earlier pipelines, so two plans agreeing on a prefix key
+    agree on everything segment ``i`` can observe.
 
     Keys are memoized on the plan object per environment digest — plans
     are shared through the :class:`~repro.serve.PlanCache`, so repeat
     traffic hashes nothing.
     """
-    env = hashlib.sha1()
-    env.update(
-        repr(
-            tuple(
-                (name, database.table(name).num_rows, database.table(name).nbytes)
-                for name in database.names
-            )
-        ).encode()
-    )
+    env = hashlib.sha1(database.fingerprint)
     env.update(
         f"|{device_name}|pj={int(partitioned_joins)}"
         f"|np={num_partitions}|af={int(adaptive_fact)}".encode()

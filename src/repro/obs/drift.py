@@ -61,17 +61,68 @@ class DriftRecord:
         return "under" if self.underestimated else "over"
 
 
+class _RollUp:
+    """Running totals over one group of observations.
+
+    ``error_sum`` is added left to right in record order, so a mean
+    equals ``sum(errors) / n`` over the same records exactly — on
+    Python < 3.12.  From 3.12 on builtin ``sum()`` of floats compensates
+    (Neumaier), so a recomputation with ``sum()`` may differ from these
+    totals in the last ulp; a left-to-right loop never does.
+    """
+
+    __slots__ = ("count", "error_sum", "max_error", "under")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.error_sum = 0.0
+        self.max_error = 0.0
+        self.under = 0
+
+    def add(self, error: float, underestimated: bool) -> None:
+        # ``max()``'s rule: the first value stands until a later one
+        # compares strictly greater.
+        if self.count == 0 or error > self.max_error:
+            self.max_error = error
+        self.count += 1
+        self.error_sum += error
+        self.under += underestimated
+
+    def as_dict(self) -> Dict[str, float]:
+        if self.count == 0:
+            return {
+                "observations": 0,
+                "mean_relative_error": 0.0,
+                "max_relative_error": 0.0,
+                "underestimated_share": 0.0,
+            }
+        return {
+            "observations": self.count,
+            "mean_relative_error": self.error_sum / self.count,
+            "max_relative_error": self.max_error,
+            "underestimated_share": self.under / self.count,
+        }
+
+
 class DriftRecorder:
     """Accumulates :class:`DriftRecord` observations and summarizes them.
 
     ``registry`` is optional; when given, every :meth:`record` also
     observes ``model_drift_relative_error`` and increments
     ``model_drift_observations_total{direction=...}``.
+
+    The roll-ups are running totals kept as records arrive, so
+    :meth:`per_query` and :meth:`overall` cost one step per query name,
+    not per record — a long-lived service summarizes every drain.
+    ``records`` keeps every observation; add them through
+    :meth:`record`, which is what keeps the totals in step.
     """
 
     def __init__(self, registry=None):
         self.records: List[DriftRecord] = []
         self._registry = registry
+        self._overall = _RollUp()
+        self._per_query: Dict[str, _RollUp] = {}
 
     def record(
         self,
@@ -89,9 +140,16 @@ class DriftRecorder:
             measured_cycles=float(measured_cycles),
         )
         self.records.append(observation)
+        error = observation.relative_error
+        under = observation.underestimated
+        self._overall.add(error, under)
+        roll_up = self._per_query.get(query)
+        if roll_up is None:
+            roll_up = self._per_query[query] = _RollUp()
+        roll_up.add(error, under)
         if self._registry is not None:
             self._registry.histogram("model_drift_relative_error").observe(
-                observation.relative_error
+                error
             )
             self._registry.counter("model_drift_observations_total").inc(
                 direction=observation.direction
@@ -105,44 +163,14 @@ class DriftRecorder:
 
     def per_query(self) -> Dict[str, Dict[str, float]]:
         """Mean error and underestimate share per query name, sorted."""
-        grouped: Dict[str, List[DriftRecord]] = {}
-        for observation in self.records:
-            grouped.setdefault(observation.query, []).append(observation)
-        out: Dict[str, Dict[str, float]] = {}
-        for query in sorted(grouped):
-            members = grouped[query]
-            out[query] = {
-                "observations": len(members),
-                "mean_relative_error": sum(
-                    m.relative_error for m in members
-                ) / len(members),
-                "max_relative_error": max(
-                    m.relative_error for m in members
-                ),
-                "underestimated_share": sum(
-                    1 for m in members if m.underestimated
-                ) / len(members),
-            }
-        return out
+        return {
+            query: self._per_query[query].as_dict()
+            for query in sorted(self._per_query)
+        }
 
     def overall(self) -> Dict[str, float]:
         """The Fig 11/24 headline numbers across all observations."""
-        if not self.records:
-            return {
-                "observations": 0,
-                "mean_relative_error": 0.0,
-                "max_relative_error": 0.0,
-                "underestimated_share": 0.0,
-            }
-        errors = [observation.relative_error for observation in self.records]
-        return {
-            "observations": len(self.records),
-            "mean_relative_error": sum(errors) / len(errors),
-            "max_relative_error": max(errors),
-            "underestimated_share": sum(
-                1 for observation in self.records if observation.underestimated
-            ) / len(self.records),
-        }
+        return self._overall.as_dict()
 
     def to_json(self) -> Dict[str, object]:
         """Full dump: every observation plus the roll-ups."""

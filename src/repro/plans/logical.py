@@ -15,7 +15,9 @@ Two levels live here:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import PlanError
@@ -23,6 +25,7 @@ from ..relational import Expression, TableSchema
 
 __all__ = [
     "AggSpec",
+    "FrozenDict",
     "JoinEdge",
     "TableRef",
     "QuerySpec",
@@ -36,6 +39,36 @@ __all__ = [
 ]
 
 AGG_FUNCS = ("sum", "count", "avg", "min", "max")
+
+
+class FrozenDict(dict):
+    """A ``dict`` that refuses in-place mutation.
+
+    The mapping fields of :class:`TableRef` and :class:`QuerySpec` are
+    stored as one, so a spec really is immutable: its fingerprint (and
+    every plan / result / segment key built from it) is computed once
+    and can never go stale.  Subclassing ``dict`` keeps ``repr``,
+    equality and iteration those of a plain dict, so fingerprints are
+    byte-identical to the dict they replace (``types.MappingProxyType``
+    would change the ``repr``).  Every mutator raises ``TypeError``.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        # pickle / deepcopy rebuild from a plain dict: the default dict
+        # protocol would refill the new object through ``__setitem__``.
+        return (type(self), (dict(self),))
+
+
+def _frozen(mapping: Mapping) -> FrozenDict:
+    return mapping if isinstance(mapping, FrozenDict) else FrozenDict(mapping)
 
 
 @dataclass(frozen=True)
@@ -95,6 +128,9 @@ class TableRef:
     alias: str
     rename: Mapping[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rename", _frozen(self.rename))
+
     def renamed_schema(self, schema: TableSchema) -> TableSchema:
         return schema.rename(dict(self.rename))
 
@@ -107,6 +143,10 @@ class QuerySpec:
     not equi-joins (Q5's ``c_nationkey = s_nationkey`` pattern and Q7's
     cross-nation disjunction); they are applied as soon as all referenced
     columns are available in the probe chain.
+
+    A spec is immutable all the way down: every nested value is a frozen
+    dataclass, a tuple or a :class:`FrozenDict`, so :attr:`fingerprint`
+    is computed on first use and kept.
     """
 
     name: str
@@ -128,12 +168,13 @@ class QuerySpec:
     limit: Optional[int] = None
     #: Cooperative-cancellation deadline in simulated device cycles,
     #: cumulative across resilient retries; ``None`` means no deadline.
-    #: Deliberately excluded from :func:`~repro.plans.optimizer
-    #: .spec_fingerprint` — the plan shape does not depend on it, so
-    #: queries with different deadlines still share plan-cache entries.
+    #: Deliberately excluded from :attr:`fingerprint` — the plan shape
+    #: does not depend on it, so queries with different deadlines still
+    #: share plan-cache entries.
     deadline_cycles: Optional[float] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "filters", _frozen(self.filters))
         aliases = [ref.alias for ref in self.tables]
         if len(set(aliases)) != len(aliases):
             raise PlanError(f"duplicate table aliases in {self.name}")
@@ -165,6 +206,38 @@ class QuerySpec:
     @property
     def num_joins(self) -> int:
         return len(self.join_edges)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Deterministic digest of the query's declarative form.
+
+        ``repr`` of the fields is a complete, canonical serialization of
+        the query's *shape* (see the class docstring), hashed once per
+        spec: ``dataclasses.replace`` makes a new spec with no digest.
+        The digest is the query component of a plan cache key
+        (:func:`repro.plans.lowering.plan_cache_key`): two specs with the
+        same fingerprint optimize and lower identically against the same
+        database.
+        """
+        payload = repr(
+            (
+                self.name,
+                self.tables,
+                self.join_edges,
+                self.fact,
+                sorted(self.filters.items()),
+                self.residual_filters,
+                self.derived,
+                self.group_keys,
+                self.aggregates,
+                self.post_projection,
+                self.order_by,
+                self.order_desc,
+                self.distinct,
+                self.limit,
+            )
+        )
+        return hashlib.sha1(payload.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .logical import (
     Scan,
     Select,
 )
-from .optimizer import OptimizedQuery, spec_fingerprint
+from .optimizer import OptimizedQuery
 from .physical import (
     AggSink,
     BuildSink,
@@ -67,21 +67,20 @@ def plan_cache_key(
 
     A plan is reusable exactly when every input to optimization and
     lowering is unchanged: the query's declarative shape
-    (:func:`~repro.plans.optimizer.spec_fingerprint`), the database's
-    contents (table names, row counts, and byte sizes stand in for the
-    statistics the optimizer reads), the target device, and the
-    engine-level plan knobs.  Changing any component — a different scale
-    factor, a different device, toggling partitioned joins — produces a
-    different key, which is how the plan cache invalidates.
+    (:attr:`~repro.plans.logical.QuerySpec.fingerprint`), the database's
+    contents (:attr:`~repro.relational.Database.fingerprint`: table
+    names, row counts, and byte sizes stand in for the statistics the
+    optimizer reads), the target device, and the engine-level plan
+    knobs.  Changing any component — a different scale factor, a
+    different device, toggling partitioned joins — produces a different
+    key, which is how the plan cache invalidates.  Both fingerprints are
+    computed once per spec and once per database, so a repeated key
+    hashes one short string.
     """
-    tables = tuple(
-        (name, database.num_rows(name), database.table(name).nbytes)
-        for name in database.names
-    )
     return "/".join(
         (
-            spec_fingerprint(spec),
-            hashlib.sha1(repr(tables).encode()).hexdigest(),
+            spec.fingerprint,
+            hashlib.sha1(database.fingerprint).hexdigest(),
             device_name,
             f"pj={int(partitioned_joins)}",
             f"np={num_partitions}",

@@ -85,11 +85,36 @@ class Database:
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
         self._stats: Dict[str, Dict[str, ColumnStats]] = {}
+        self._fingerprint: Optional[bytes] = None
 
     def add(self, name: str, table: Table) -> None:
-        """Register ``table`` under ``name`` (replacing any previous one)."""
+        """Register ``table`` under ``name`` (replacing any previous one).
+
+        The only mutation a database has (:class:`Table` methods return
+        new tables), so it is also the only thing that resets
+        :attr:`fingerprint`.
+        """
         self._tables[name] = table
         self._stats.pop(name, None)
+        self._fingerprint = None
+
+    @property
+    def fingerprint(self) -> bytes:
+        """Canonical description of the contents, computed on first use.
+
+        ``repr`` of ``(name, rows, bytes)`` per table in catalog order:
+        row counts and byte sizes stand in for the statistics planning
+        reads.  Plan cache keys and segment cache keys both hash it, so
+        replacing a table through :meth:`add` invalidates both.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = repr(
+                tuple(
+                    (name, table.num_rows, table.nbytes)
+                    for name, table in self._tables.items()
+                )
+            ).encode()
+        return self._fingerprint
 
     def table(self, name: str) -> Table:
         try:

@@ -72,7 +72,7 @@ from ..model import (
 )
 from ..obs import DriftRecorder, MetricsRegistry
 from ..obs.tracing import add_event, maybe_span
-from ..plans import QuerySpec, spec_fingerprint
+from ..plans import QuerySpec
 from ..relational import Database
 from ..shard import DevicePool, ShardedExecutor
 from .breaker import CircuitBreaker, breaker_states
@@ -801,10 +801,7 @@ class QueryService:
                 if query.fault_plan is not None:
                     unique.append(query)
                     continue
-                key = (
-                    spec_fingerprint(query.spec),
-                    query.spec.deadline_cycles,
-                )
+                key = (query.spec.fingerprint, query.spec.deadline_cycles)
                 leader = leaders.get(key)
                 if leader is None:
                     leaders[key] = query

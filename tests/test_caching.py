@@ -15,9 +15,11 @@ import pytest
 from repro.core import GPLEngine
 from repro.core.checkpoint import SegmentCache, SegmentCheckpoint
 from repro.faults import FaultPlan
-from repro.gpu import AMD_A10
+from repro.gpu import AMD_A10, NVIDIA_K40
 from repro.kbe import KBEEngine
 from repro.model import clear_calibration_cache, clear_search_cache
+from repro.plans import TableRef, plan_cache_key
+from repro.relational import Database, Table
 from repro.serve import QueryService, ResultCache
 from repro.shard import DevicePool
 from repro.tpch import generate_database, q5, q9, q14
@@ -177,6 +179,108 @@ class TestEngineSegmentCache:
         keys_a = cache.keys_for(engine.prepare(q5()), tiny_db, AMD_A10.name)
         keys_b = cache.keys_for(engine.prepare(q5()), other_db, AMD_A10.name)
         assert keys_a != keys_b
+
+
+# ---------------------------------------------------------------------------
+# key inputs: computed once per spec and once per database
+# ---------------------------------------------------------------------------
+
+
+def _copy_of(database):
+    """A new, separately mutable ``Database`` over the same tables."""
+    copy = Database()
+    for name in database.names:
+        copy.add(name, database.table(name))
+    return copy
+
+
+def _count_calls(monkeypatch, owner, attr):
+    """Count calls of ``owner.attr`` (a method or a property getter)."""
+    calls = []
+    original = owner.__dict__[attr]
+    if isinstance(original, property):
+        def counting(self):
+            calls.append(self)
+            return original.fget(self)
+        monkeypatch.setattr(owner, attr, property(counting))
+    else:
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
+class TestKeyMemo:
+    def test_spec_is_serialized_once(self, tiny_db, monkeypatch):
+        spec = q5()
+        serialized = _count_calls(monkeypatch, TableRef, "__repr__")
+        for device in (AMD_A10, NVIDIA_K40):
+            for partitioned in (False, True):
+                plan_cache_key(
+                    spec, tiny_db, device.name, partitioned_joins=partitioned
+                )
+        service = service_for(
+            tiny_db, result_cache_bytes=64 * MIB, batch_dedupe=True
+        )
+        service.run([spec, spec, spec])  # result, dedupe and plan keys
+        hot = service.run([spec])
+        assert hot.cached == 1
+        assert len(serialized) == len(spec.tables)
+        assert spec.fingerprint is spec.fingerprint
+
+    def test_database_is_fingerprinted_once(self, tiny_db, monkeypatch):
+        database = _copy_of(tiny_db)
+        plan = GPLEngine(database, AMD_A10).prepare(q5())
+        measured = _count_calls(monkeypatch, Table, "nbytes")
+        cache = SegmentCache()
+        for device in (AMD_A10, NVIDIA_K40):
+            plan_cache_key(q5(), database, device.name)
+            plan_cache_key(q9(), database, device.name)
+            cache.keys_for(plan, database, device.name)
+        assert len(measured) == len(database.names)
+
+    def test_replace_rekeys_only_what_shapes_the_plan(self, tiny_db):
+        spec = q5()
+        key = plan_cache_key(spec, tiny_db, AMD_A10.name)
+        limited = dataclasses.replace(spec, limit=3)
+        assert limited.fingerprint != spec.fingerprint
+        assert plan_cache_key(limited, tiny_db, AMD_A10.name) != key
+        bounded = dataclasses.replace(spec, deadline_cycles=1e9)
+        assert bounded.fingerprint == spec.fingerprint
+        assert plan_cache_key(bounded, tiny_db, AMD_A10.name) == key
+
+    def test_add_changes_plan_and_segment_keys(self, tiny_db):
+        database = _copy_of(tiny_db)
+        engine = GPLEngine(database, AMD_A10)
+        plan = engine.prepare(q5())
+        cache = SegmentCache()
+        plan_key = plan_cache_key(q5(), database, AMD_A10.name)
+        segment_keys = cache.keys_for(plan, database, AMD_A10.name)
+        assert plan_key == plan_cache_key(q5(), tiny_db, AMD_A10.name)
+        lineitem = database.table("lineitem")
+        database.add("lineitem", lineitem.slice(0, lineitem.num_rows // 2))
+        assert plan_cache_key(q5(), database, AMD_A10.name) != plan_key
+        new_keys = cache.keys_for(plan, database, AMD_A10.name)
+        assert len(new_keys) == len(segment_keys)
+        assert not set(new_keys) & set(segment_keys)
+
+    def test_service_misses_after_add(self, tiny_db):
+        database = _copy_of(tiny_db)
+        service = service_for(
+            database, result_cache_bytes=64 * MIB, segment_cache_bytes=256 * MIB
+        )
+        service.run([q14()])
+        stale = rows_for(service, 0)
+        assert service.run([q14()]).cached == 1
+        lineitem = database.table("lineitem")
+        database.add("lineitem", lineitem.slice(0, lineitem.num_rows // 2))
+        report = service.run([q14()])
+        assert report.cached == 0
+        assert report.result_cache["misses"] == 1
+        fresh = KBEEngine(database, AMD_A10).execute(q14()).sorted_rows()
+        assert rows_for(service, 2) == fresh
+        assert fresh != stale
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Tests for query specs and logical plan nodes."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import PlanError
 from repro.plans import (
     AggSpec,
+    FrozenDict,
     GroupAggregate,
     Join,
     JoinEdge,
@@ -112,6 +117,78 @@ class TestQuerySpecValidation:
         assert q14().num_joins == 1
         assert q5().num_joins == 5
         assert q8().num_joins == 7
+
+
+class TestSpecImmutability:
+    """Specs are immutable all the way down, so the fingerprint every
+    cache key starts from is computed once and can never go stale."""
+
+    MUTATIONS = [
+        lambda m: m.__setitem__("x", None),
+        lambda m: m.__delitem__(next(iter(m))),
+        lambda m: m.update({"x": None}),
+        lambda m: m.pop(next(iter(m))),
+        lambda m: m.popitem(),
+        lambda m: m.setdefault("x", None),
+        lambda m: m.clear(),
+        lambda m: m.__ior__({"x": None}),
+    ]
+
+    @pytest.mark.parametrize("mutate", MUTATIONS)
+    def test_filters_refuse_mutation(self, mutate):
+        spec = q14()
+        before = (dict(spec.filters), spec.fingerprint)
+        with pytest.raises(TypeError):
+            mutate(spec.filters)
+        assert (dict(spec.filters), spec.fingerprint) == before
+
+    @pytest.mark.parametrize("mutate", MUTATIONS)
+    def test_rename_refuses_mutation(self, mutate):
+        ref = next(ref for ref in q7().tables if ref.rename)
+        before = dict(ref.rename)
+        with pytest.raises(TypeError):
+            mutate(ref.rename)
+        assert dict(ref.rename) == before
+
+    def test_wrapping_keeps_the_dict_repr(self):
+        filters = {"lineitem": col("l_quantity").lt(3), "part": col("p_size").eq(1)}
+        frozen = FrozenDict(filters)
+        assert repr(frozen) == repr(filters)
+        assert frozen == filters
+        spec = QuerySpec(
+            name="t",
+            tables=(TableRef("lineitem", "lineitem"), TableRef("part", "part")),
+            join_edges=(),
+            fact="lineitem",
+            filters=filters,
+        )
+        assert isinstance(spec.filters, FrozenDict)
+        assert repr(spec.filters) == repr(filters)
+        filters.clear()  # the caller's dict stays the caller's
+        assert len(spec.filters) == 2
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            copy.deepcopy,
+            copy.copy,
+            lambda spec: pickle.loads(pickle.dumps(spec)),
+            dataclasses.replace,
+        ],
+        ids=["deepcopy", "copy", "pickle", "replace"],
+    )
+    @pytest.mark.parametrize("factory", [q7, q14])
+    def test_spec_survives_copies(self, factory, duplicate):
+        spec = factory()
+        fingerprint = spec.fingerprint
+        twin = duplicate(spec)
+        assert twin == spec
+        assert twin.fingerprint == fingerprint
+        assert isinstance(twin.filters, FrozenDict)
+        for ref in twin.tables:
+            assert isinstance(ref.rename, FrozenDict)
+        with pytest.raises(TypeError):
+            twin.filters["x"] = None
 
 
 class TestWorkloadSpecs:

@@ -279,6 +279,48 @@ class TestDrift:
             "underestimated_share": 0.0,
         }
 
+    def test_running_roll_ups_equal_a_recomputation(self):
+        """``per_query()`` / ``overall()`` are running totals; they must
+        equal, exactly, a left-to-right recomputation from ``records``.
+        A left-to-right loop, not ``sum()``: on Python >= 3.12 builtin
+        ``sum()`` of floats compensates, so it may differ from the running
+        sum in the last ulp there."""
+
+        def roll_up(records):
+            error_sum, max_error, under = 0.0, None, 0
+            for observation in records:
+                error = observation.relative_error
+                error_sum += error
+                if max_error is None or error > max_error:
+                    max_error = error
+                under += observation.underestimated
+            return {
+                "observations": len(records),
+                "mean_relative_error": error_sum / len(records),
+                "max_relative_error": max_error,
+                "underestimated_share": under / len(records),
+            }
+
+        recorder = DriftRecorder()
+        observations = [
+            ("Q9", 0.1, 3.0), ("Q5", 80.0, 100.0), ("Q14", 10.0, 0.0),
+            ("Q5", 110.3, 99.7), ("Q9", 7.0, 3.0), ("Q14", 0.7, 0.3),
+            ("Q5", 1e9, 1.0 / 3.0), ("Q9", 2.9, 3.0), ("Q5", 1.0, 1.0),
+        ]
+        for step, (query, predicted, measured) in enumerate(observations):
+            recorder.record(query, "amd", 1 << 20, predicted, measured)
+            records = recorder.records
+            assert recorder.overall() == roll_up(records)
+            names = sorted({observation.query for observation in records})
+            assert recorder.per_query() == {
+                name: roll_up([o for o in records if o.query == name])
+                for name in names
+            }
+            assert list(recorder.per_query()) == names
+        # measured_cycles = 0 counts as an observation with error 0.0
+        assert recorder.records[2].relative_error == 0.0
+        assert recorder.per_query()["Q14"]["observations"] == 2
+
     def test_feeds_registry(self):
         registry = MetricsRegistry()
         recorder = DriftRecorder(registry=registry)
