@@ -11,9 +11,10 @@ Six checks over every tracked markdown file:
    cannot name code that was renamed or removed;
 3. **CLI flags** — every ``--flag`` a doc attributes to a ``python -m
    repro <command>`` context must be accepted by that command's parser,
-   and every ``--flag`` on a line mentioning ``bench.py`` or
-   ``soak.py`` must be accepted by that script's parser, so flag
-   renames cannot strand the docs;
+   every ``--flag`` on a line mentioning ``bench.py`` or
+   ``soak.py`` must be accepted by that script's parser, and every
+   ``--flag`` on a line naming a ``perfbench/<script>.py`` must appear
+   in that script's ``--help``, so flag renames cannot strand the docs;
 4. **metric catalogue** — the table under ``## Metrics catalogue`` in
    ``docs/observability.md`` must list exactly the metric names in
    ``repro.obs.metric_catalogue()``: a documented metric missing from
@@ -37,10 +38,12 @@ from the repository root (CI does); no arguments.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.util
 import pathlib
 import re
+import subprocess
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -72,6 +75,8 @@ METRIC_ROW_RE = re.compile(r"^\|\s*`([a-z][a-z0-9_]*)`")
 # Flags that belong to the docs' own tooling examples, not the repro CLI.
 FOREIGN_FLAGS = {"--benchmark-only"}
 
+PERFBENCH_SCRIPT_RE = re.compile(r"perfbench/(\w+)\.py")
+
 BENCH_SCRIPT = REPO / "scripts" / "bench.py"
 SOAK_SCRIPT = REPO / "scripts" / "soak.py"
 
@@ -100,6 +105,23 @@ def _script_flags(script_path):
         option
         for action in module.build_parser()._actions
         for option in action.option_strings
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _help_flags(script):
+    """Option strings listed by ``perfbench/<script>.py --help``."""
+    result = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / f"{script}.py"), "--help"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return {
+        flag
+        for line in result.stdout.splitlines()
+        if line.lstrip().startswith("-")
+        for flag in FLAG_RE.findall(line.strip().split("  ")[0])
     }
 
 
@@ -152,6 +174,16 @@ def iter_problems():
         for line in text.splitlines():
             flags = set(FLAG_RE.findall(line)) - FOREIGN_FLAGS
             if not flags:
+                continue
+            perfbench = PERFBENCH_SCRIPT_RE.search(line)
+            if perfbench is not None:
+                # perfbench scripts are checked against their own --help.
+                script = perfbench.group(1)
+                for flag in sorted(flags - _help_flags(script)):
+                    yield (
+                        f"{rel}: flag {flag} not accepted by "
+                        f"perfbench/{script}.py"
+                    )
                 continue
             script = next(
                 (name for name in script_flags if name in line), None

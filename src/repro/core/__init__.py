@@ -12,6 +12,7 @@ from .resilience import (
     ResilientExecutor,
 )
 from .segments import Segment, pipeline_kernel_specs, split_into_segments
+from .store import BoundedStore
 from .tiling import TilePlan, Tiler
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "Segment",
     "pipeline_kernel_specs",
     "split_into_segments",
+    "BoundedStore",
     "TilePlan",
     "Tiler",
 ]

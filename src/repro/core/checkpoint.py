@@ -46,9 +46,10 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..plans.runtime import Batch, batch_bytes
+from .store import BoundedStore
 
 __all__ = [
     "CheckpointStore",
@@ -91,7 +92,7 @@ class SegmentCheckpoint:
         )
 
 
-class CheckpointStore:
+class CheckpointStore(BoundedStore):
     """Bounded LRU pool of :class:`SegmentCheckpoint` entries.
 
     Keys are ``(query_ticket, segment_id)`` — ``query_ticket`` is a
@@ -99,11 +100,8 @@ class CheckpointStore:
     query name never alias.  ``max_bytes``/``max_segments`` bound the
     pool; recording a segment evicts least-recently-used entries (from
     *any* query) until the new entry fits.  A segment larger than the
-    whole budget is simply not stored.
-
-    Thread-safe: one store may be shared by concurrent executions, so
-    ticket issue, entry management, and the byte/segment accounting all
-    happen under a reentrant lock.
+    whole budget is simply not stored.  One store may be shared by
+    concurrent executions; ticket issue takes the store's lock.
     """
 
     def __init__(
@@ -111,26 +109,9 @@ class CheckpointStore:
         max_bytes: int = DEFAULT_MAX_BYTES,
         max_segments: int = DEFAULT_MAX_SEGMENTS,
     ):
-        if max_bytes < 0 or max_segments < 0:
-            raise ValueError("checkpoint store bounds must be non-negative")
-        self.max_bytes = max_bytes
-        self.max_segments = max_segments
-        self._entries: "OrderedDict[Tuple[int, str], SegmentCheckpoint]" = (
-            OrderedDict()
-        )
+        super().__init__(max_entries=max_segments, max_bytes=max_bytes)
         self._next_ticket = 0
-        self.live_bytes = 0
-        # lifetime counters (service-wide observability)
-        self.recorded_total = 0
-        self.resumed_total = 0
-        self.evicted_total = 0
         self.invalidated_total = 0
-        self.peak_bytes = 0
-        self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def open(self, query: str = "") -> "QueryCheckpoint":
         """A fresh per-execution window onto this store."""
@@ -139,51 +120,22 @@ class CheckpointStore:
             self._next_ticket += 1
         return QueryCheckpoint(self, ticket, query)
 
-    # -- entry management (used by QueryCheckpoint) ---------------------
-
-    def _put(self, ticket: int, entry: SegmentCheckpoint) -> bool:
-        if entry.nbytes > self.max_bytes or self.max_segments == 0:
-            return False
+    def invalidate(self, key: Tuple[int, str]) -> None:
+        """Drop ``key`` because a re-planned attempt no longer has it."""
         with self._lock:
-            while self._entries and (
-                self.live_bytes + entry.nbytes > self.max_bytes
-                or len(self._entries) >= self.max_segments
-            ):
-                _, evicted = self._entries.popitem(last=False)
-                self.live_bytes -= evicted.nbytes
-                self.evicted_total += 1
-            if len(self._entries) >= self.max_segments:
-                return False
-            self._entries[(ticket, entry.segment_id)] = entry
-            self.live_bytes += entry.nbytes
-            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-            self.recorded_total += 1
-            return True
-
-    def _get(self, ticket: int, segment_id: str) -> Optional[SegmentCheckpoint]:
-        with self._lock:
-            entry = self._entries.get((ticket, segment_id))
-            if entry is not None:
-                self._entries.move_to_end((ticket, segment_id))
-            return entry
-
-    def _drop(self, ticket: int, segment_id: str, invalidated: bool) -> None:
-        with self._lock:
-            entry = self._entries.pop((ticket, segment_id), None)
-            if entry is not None:
-                self.live_bytes -= entry.nbytes
-                if invalidated:
-                    self.invalidated_total += 1
+            if self.pop(key) is not None:
+                self.invalidated_total += 1
 
     def counters_dict(self) -> Dict[str, int]:
         with self._lock:
+            stats = self.stats
             return {
                 "live_segments": len(self._entries),
                 "live_bytes": self.live_bytes,
                 "peak_bytes": self.peak_bytes,
-                "recorded": self.recorded_total,
-                "resumed": self.resumed_total,
-                "evicted": self.evicted_total,
+                "recorded": stats.stored,
+                "resumed": stats.hits,
+                "evicted": stats.evictions,
                 "invalidated": self.invalidated_total,
             }
 
@@ -223,7 +175,7 @@ class QueryCheckpoint:
         current = set(plan_signature)
         for segment_id in list(self._segments):
             if segment_id not in current:
-                self._store._drop(self._ticket, segment_id, invalidated=True)
+                self._store.invalidate((self._ticket, segment_id))
                 del self._segments[segment_id]
                 self.segments_invalidated += 1
 
@@ -249,7 +201,7 @@ class QueryCheckpoint:
         """
         if segment_id not in self._segments:
             return False
-        entry = self._store._get(self._ticket, segment_id)
+        entry = self._store.get((self._ticket, segment_id))
         if entry is None:  # evicted under memory pressure
             del self._segments[segment_id]
             return False
@@ -258,8 +210,6 @@ class QueryCheckpoint:
         self._seen_intermediates.update(entry.intermediates)
         self._seen_hash_tables.update(entry.hash_tables)
         self.segments_resumed += 1
-        with self._store._lock:
-            self._store.resumed_total += 1
         return True
 
     def record(self, segment_id: str, context) -> None:
@@ -277,19 +227,19 @@ class QueryCheckpoint:
         self._seen_intermediates.update(new_intermediates)
         self._seen_hash_tables.update(new_hash_tables)
         if segment_id in self._segments:  # re-recorded after invalidation
-            self._store._drop(self._ticket, segment_id, invalidated=False)
+            self._store.pop((self._ticket, segment_id))
             del self._segments[segment_id]
         entry = SegmentCheckpoint.capture(
             segment_id, new_intermediates, new_hash_tables
         )
-        if self._store._put(self._ticket, entry):
+        if self._store.put((self._ticket, segment_id), entry, entry.nbytes):
             self._segments[segment_id] = None
             self.segments_recorded += 1
 
     def release(self) -> None:
         """Drop every checkpoint this execution holds (query finished)."""
         for segment_id in self._segments:
-            self._store._drop(self._ticket, segment_id, invalidated=False)
+            self._store.pop((self._ticket, segment_id))
         self._segments.clear()
 
     def counters_dict(self) -> Dict[str, int]:
@@ -388,7 +338,7 @@ def segment_cache_keys(
         return keys
 
 
-class SegmentCache:
+class SegmentCache(BoundedStore):
     """Cross-query LRU cache of materialized segment outputs.
 
     The generalization of :class:`CheckpointStore`: same captured
@@ -408,22 +358,7 @@ class SegmentCache:
         max_bytes: int = DEFAULT_MAX_BYTES,
         max_segments: int = DEFAULT_MAX_SEGMENTS,
     ):
-        if max_bytes < 0 or max_segments < 0:
-            raise ValueError("segment cache bounds must be non-negative")
-        self.max_bytes = max_bytes
-        self.max_segments = max_segments
-        self._entries: "OrderedDict[str, SegmentCheckpoint]" = OrderedDict()
-        self.live_bytes = 0
-        self.peak_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.stored = 0
-        self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(max_entries=max_segments, max_bytes=max_bytes)
 
     def keys_for(
         self,
@@ -451,21 +386,12 @@ class SegmentCache:
         Returns ``True`` when the segment can be skipped; a miss counts
         and returns ``False`` (the segment executes normally).
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return False
-            self._entries.move_to_end(key)
-            self.hits += 1
+        entry = self.get(key)
+        if entry is None:
+            return False
         context.intermediates.update(entry.intermediates)
         context.hash_tables.update(entry.hash_tables)
         return True
-
-    def entry_for(self, key: str) -> Optional[SegmentCheckpoint]:
-        """Peek at the entry under ``key`` without counting a lookup."""
-        with self._lock:
-            return self._entries.get(key)
 
     def store(self, key: str, entry: SegmentCheckpoint) -> bool:
         """Insert ``entry`` under ``key``, evicting LRU entries to fit.
@@ -473,46 +399,7 @@ class SegmentCache:
         An entry larger than the whole budget is not stored; re-storing
         an existing key refreshes it in place.
         """
-        if entry.nbytes > self.max_bytes or self.max_segments == 0:
-            return False
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self.live_bytes -= old.nbytes
-            while self._entries and (
-                self.live_bytes + entry.nbytes > self.max_bytes
-                or len(self._entries) >= self.max_segments
-            ):
-                _, evicted = self._entries.popitem(last=False)
-                self.live_bytes -= evicted.nbytes
-                self.evictions += 1
-            if len(self._entries) >= self.max_segments:
-                return False
-            self._entries[key] = entry
-            self.live_bytes += entry.nbytes
-            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-            self.stored += 1
-            return True
-
-    def clear(self) -> None:
-        """Drop every entry and reset all counters."""
-        with self._lock:
-            self._entries.clear()
-            self.live_bytes = 0
-            self.peak_bytes = 0
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.stored = 0
+        return self.put(key, entry, entry.nbytes)
 
     def counters_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "stored": self.stored,
-                "live_segments": len(self._entries),
-                "live_bytes": self.live_bytes,
-                "peak_bytes": self.peak_bytes,
-            }
+        return self.counters("live_segments")

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
-from collections import OrderedDict
 from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +53,7 @@ from .occupancy import (
     max_active_wg_per_cu,
 )
 from .trace import TraceEvent
+from ..core.store import BoundedStore
 from ..obs.tracing import current_tracer
 
 __all__ = [
@@ -122,28 +121,17 @@ SIMULATION_MEMO_LIMIT = 1024
 #: Memoized pure-step outcomes in LRU order, keyed by the simulator's
 #: device and cost models plus the :meth:`Simulator.run_pipeline` request —
 #: not by segment id: two segments of one shape share an entry.
-_SIM_MEMO: "OrderedDict[tuple, _SegmentOutcome]" = OrderedDict()
-_SIM_STATS: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
-#: Guards the module-level memo + stats (shared by every thread).
-_SIM_LOCK = threading.Lock()
+_SIM_MEMO = BoundedStore(max_entries=SIMULATION_MEMO_LIMIT)
 
 
 def simulation_memo_stats() -> Dict[str, int]:
     """Hit/miss/eviction counters and current size of the simulation memo."""
-    with _SIM_LOCK:
-        stats = dict(_SIM_STATS)
-        stats["size"] = len(_SIM_MEMO)
-        stats["limit"] = SIMULATION_MEMO_LIMIT
-        return stats
+    return _SIM_MEMO.memo_counters()
 
 
 def clear_simulation_memo() -> None:
     """Drop every memoized segment outcome and reset the counters."""
-    with _SIM_LOCK:
-        _SIM_MEMO.clear()
-        _SIM_STATS["hits"] = 0
-        _SIM_STATS["misses"] = 0
-        _SIM_STATS["evictions"] = 0
+    _SIM_MEMO.clear()
 
 
 class _StageRuntime:
@@ -469,22 +457,12 @@ class Simulator:
             )
         else:
             key = (self.device, self.memory, self.channel_model) + request
-            with _SIM_LOCK:
-                outcome = _SIM_MEMO.get(key)
-                if outcome is not None:
-                    _SIM_MEMO.move_to_end(key)
-                    _SIM_STATS["hits"] += 1
-                else:
-                    _SIM_STATS["misses"] += 1
+            outcome = _SIM_MEMO.get(key)
             if outcome is None:
                 # Errors propagate from here, so only finished runs are
                 # ever stored.
                 outcome = self._simulate_segment(*request, None)
-                with _SIM_LOCK:
-                    _SIM_MEMO[key] = outcome
-                    while len(_SIM_MEMO) > SIMULATION_MEMO_LIMIT:
-                        _SIM_MEMO.popitem(last=False)
-                        _SIM_STATS["evictions"] += 1
+                _SIM_MEMO.put(key, outcome)
         return self._apply_outcome(outcome, tracer, num_tiles, trace_events)
 
     def _simulate_segment(

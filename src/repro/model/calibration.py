@@ -18,10 +18,10 @@ The resulting :class:`CalibrationTable` interpolates log-linearly in
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.store import BoundedStore
 from ..errors import CalibrationError
 from ..gpu import (
     ChannelConfig,
@@ -232,30 +232,27 @@ class CalibrationTable:
         return best[1]
 
 
-_CACHE: Dict[str, CalibrationTable] = {}
-_CACHE_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
-#: Guards the module-level memo + stats (shared by every thread).
-_CACHE_LOCK = threading.RLock()
+#: Memoized Γ tables, keyed by device name and the swept grid: a sweep
+#: is a pure function of both, and a process calibrates a handful of
+#: (device, grid) pairs, so 64 entries never evict in practice.
+_GAMMA_MEMO = BoundedStore(max_entries=64)
 
 
 def calibration_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the per-device Γ-table cache.
+    """Hit/miss counters of the Γ-table memo.
 
     A *hit* means a :func:`calibrate_channels` call was answered without
     re-running the producer/consumer sweep; a *miss* means the full grid
     was measured.  Surfaced by :class:`repro.serve.ServiceReport` so
     serving runs can show the calibration cost being paid once.
     """
-    with _CACHE_LOCK:
-        return dict(_CACHE_STATS)
+    stats = _GAMMA_MEMO.counters()
+    return {"hits": stats["hits"], "misses": stats["misses"]}
 
 
 def clear_calibration_cache() -> None:
     """Drop every memoized Γ table and reset the hit/miss counters."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        _CACHE_STATS["hits"] = 0
-        _CACHE_STATS["misses"] = 0
+    _GAMMA_MEMO.clear()
 
 
 def calibrate_channels(
@@ -263,29 +260,27 @@ def calibrate_channels(
     sizes: Sequence[int] = CALIBRATION_SIZES,
     channels: Sequence[int] = CALIBRATION_CHANNELS,
     packets: Optional[Sequence[int]] = None,
-    use_cache: bool = True,
 ) -> CalibrationTable:
-    """Sweep the calibration grid on ``device`` (cached per device name).
+    """Sweep the calibration grid on ``device`` (memoized per device
+    name and grid).
 
     NVIDIA's packet size is not user-tunable (Appendix A.1), so its grid
     collapses to the default packet size.
     """
-    with _CACHE_LOCK:
-        if use_cache and device.name in _CACHE:
-            _CACHE_STATS["hits"] += 1
-            return _CACHE[device.name]
-        _CACHE_STATS["misses"] += 1
     if packets is None:
         packets = CALIBRATION_PACKETS if device.tunable_packet_size else (16,)
-    table = CalibrationTable(device=device)
-    for packet_bytes in packets:
-        for num_channels in channels:
-            config = ChannelConfig(
-                num_channels=num_channels, packet_bytes=packet_bytes
-            )
-            for num_integers in sizes:
-                table.add(_measure(device, num_integers, config))
-    if use_cache:
-        with _CACHE_LOCK:
-            _CACHE[device.name] = table
-    return table
+    sizes, channels, packets = tuple(sizes), tuple(channels), tuple(packets)
+
+    def sweep() -> CalibrationTable:
+        table = CalibrationTable(device=device)
+        for packet_bytes in packets:
+            for num_channels in channels:
+                config = ChannelConfig(
+                    num_channels=num_channels, packet_bytes=packet_bytes
+                )
+                for num_integers in sizes:
+                    table.add(_measure(device, num_integers, config))
+        return table
+
+    key = (device.name, sizes, channels, packets)
+    return _GAMMA_MEMO.get_or_compute(key, sweep)

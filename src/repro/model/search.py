@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import GPLConfig
+from ..core.store import BoundedStore
 from ..gpu import ChannelConfig, DeviceSpec
 from ..obs.tracing import maybe_span
 from .calibration import CalibrationTable
@@ -37,8 +36,6 @@ __all__ = [
     "ConfigurationSearch",
     "search_cache_stats",
     "clear_search_cache",
-    "set_search_cache_limit",
-    "DEFAULT_SEARCH_CACHE_LIMIT",
 ]
 
 KIB = 1024
@@ -79,54 +76,25 @@ class SegmentChoice:
         return self.estimate.total_cycles
 
 
-#: Default bound on memoized search outcomes.  A long-lived serving
-#: process sees an unbounded stream of distinct query shapes (every new
-#: scale factor changes the segment fingerprints), so the memo must not
-#: grow without limit; 1024 entries comfortably covers the catalogue at
-#: several scale factors while capping memory at a few MiB.
-DEFAULT_SEARCH_CACHE_LIMIT = 1024
-
 #: Memoized search outcomes, keyed by (device name, segment/search
 #: fingerprint).  The paper argues the search is "ignorable compared with
 #: the query processing time" *per query*; a serving workload pays it per
-#: *query shape* instead (same idea as the Γ cache one level down).
-#: Kept in LRU order: hits refresh an entry, inserts beyond the limit
-#: evict the least recently used one.
-_SEARCH_CACHE: "OrderedDict[Tuple[str, str], SegmentChoice]" = OrderedDict()
-_SEARCH_CACHE_LIMIT = DEFAULT_SEARCH_CACHE_LIMIT
-_SEARCH_STATS: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
-#: Guards the module-level memo + stats (shared by every thread).
-_SEARCH_LOCK = threading.RLock()
+#: *query shape* instead (same idea as the Γ memo one level down).  A
+#: long-lived serving process sees an unbounded stream of distinct query
+#: shapes (every new scale factor changes the segment fingerprints), so
+#: the memo is an LRU of 1024 entries: the catalogue at several scale
+#: factors, a few MiB.
+_SEARCH_MEMO = BoundedStore(max_entries=1024)
 
 
 def search_cache_stats() -> Dict[str, int]:
     """Hit/miss/eviction counters and current size of the search memo."""
-    with _SEARCH_LOCK:
-        stats = dict(_SEARCH_STATS)
-        stats["size"] = len(_SEARCH_CACHE)
-        stats["limit"] = _SEARCH_CACHE_LIMIT
-        return stats
+    return _SEARCH_MEMO.memo_counters()
 
 
 def clear_search_cache() -> None:
     """Drop every memoized search outcome and reset the counters."""
-    with _SEARCH_LOCK:
-        _SEARCH_CACHE.clear()
-        _SEARCH_STATS["hits"] = 0
-        _SEARCH_STATS["misses"] = 0
-        _SEARCH_STATS["evictions"] = 0
-
-
-def set_search_cache_limit(limit: int) -> None:
-    """Change the LRU bound; shrinking evicts oldest entries immediately."""
-    global _SEARCH_CACHE_LIMIT
-    if limit < 1:
-        raise ValueError("search cache limit must be at least 1")
-    with _SEARCH_LOCK:
-        _SEARCH_CACHE_LIMIT = int(limit)
-        while len(_SEARCH_CACHE) > _SEARCH_CACHE_LIMIT:
-            _SEARCH_CACHE.popitem(last=False)
-            _SEARCH_STATS["evictions"] += 1
+    _SEARCH_MEMO.clear()
 
 
 class ConfigurationSearch:
@@ -184,13 +152,7 @@ class ConfigurationSearch:
         ) as span:
             if self.use_cache:
                 key = self._cache_key(segment)
-                with _SEARCH_LOCK:
-                    cached = _SEARCH_CACHE.get(key)
-                    if cached is not None:
-                        _SEARCH_CACHE.move_to_end(key)
-                        _SEARCH_STATS["hits"] += 1
-                    else:
-                        _SEARCH_STATS["misses"] += 1
+                cached = _SEARCH_MEMO.get(key)
                 if cached is not None:
                     if span is not None:
                         span.attrs["cached"] = True
@@ -199,11 +161,7 @@ class ConfigurationSearch:
                 span.attrs["cached"] = False
             best = self._search(segment)
             if self.use_cache:
-                with _SEARCH_LOCK:
-                    _SEARCH_CACHE[key] = best
-                    while len(_SEARCH_CACHE) > _SEARCH_CACHE_LIMIT:
-                        _SEARCH_CACHE.popitem(last=False)
-                        _SEARCH_STATS["evictions"] += 1
+                _SEARCH_MEMO.put(key, best)
             return best
 
     def optimize_plan(

@@ -86,14 +86,18 @@ class Database:
         self._tables: Dict[str, Table] = {}
         self._stats: Dict[str, Dict[str, ColumnStats]] = {}
         self._fingerprint: Optional[bytes] = None
+        self._replacements = 0
 
     def add(self, name: str, table: Table) -> None:
         """Register ``table`` under ``name`` (replacing any previous one).
 
         The only mutation a database has (:class:`Table` methods return
         new tables), so it is also the only thing that resets
-        :attr:`fingerprint`.
+        :attr:`fingerprint`; replacing a table also bumps the
+        replacement generation the fingerprint carries.
         """
+        if name in self._tables:
+            self._replacements += 1
         self._tables[name] = table
         self._stats.pop(name, None)
         self._fingerprint = None
@@ -104,16 +108,20 @@ class Database:
 
         ``repr`` of ``(name, rows, bytes)`` per table in catalog order:
         row counts and byte sizes stand in for the statistics planning
-        reads.  Plan cache keys and segment cache keys both hash it, so
-        replacing a table through :meth:`add` invalidates both.
+        reads.  A same-shape replacement keeps them, so the number of
+        replacements so far follows them when it is non-zero (a database
+        built once fingerprints as before).  Plan, result, segment and
+        partition keys all hash it, so replacing a table through
+        :meth:`add` invalidates them all.
         """
         if self._fingerprint is None:
-            self._fingerprint = repr(
-                tuple(
-                    (name, table.num_rows, table.nbytes)
-                    for name, table in self._tables.items()
-                )
-            ).encode()
+            catalog = tuple(
+                (name, table.num_rows, table.nbytes)
+                for name, table in self._tables.items()
+            )
+            if self._replacements:
+                catalog += (self._replacements,)
+            self._fingerprint = repr(catalog).encode()
         return self._fingerprint
 
     def table(self, name: str) -> Table:

@@ -24,12 +24,12 @@ that the scatter-gather executor surfaces on its shard report.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.store import BoundedStore
 from ..errors import SchemaError
 from .database import Database
 from .table import Table
@@ -146,59 +146,28 @@ def partition_table(
     return shards, assignment
 
 
-class PartitionCache:
-    """Thread-safe compute-once memo for partition layouts.
+class PartitionCache(BoundedStore):
+    """Compute-once LRU memo of partition layouts.
 
-    The sharded executor partitions the same (table, key, pool-width)
-    triple for every query that streams that table; concurrent
-    callers must neither corrupt the memo nor compute the same layout
-    twice.  The lock is held *across* the factory call so
-    the first requester computes and every concurrent requester blocks
-    and then reuses the identical (deterministic) layout — partitioning
-    is pure, so which thread wins never matters.
+    The sharded executor partitions the same table for every query that
+    streams it, so it keys layouts by ``(table, key, pool width,
+    database fingerprint)``: replacing a table through
+    :meth:`Database.add` changes the key, and the bound retires the
+    stale layouts.  Concurrent requesters of one layout compute it once
+    (see :meth:`BoundedStore.get_or_compute`) — partitioning is pure, so
+    which thread wins never matters.  A pool partitions each fact
+    table at a few widths (relocations shrink it), so 16 layouts hold
+    the working set.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Hashable, object] = {}
-        self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(max_entries=16)
 
     def get_or_compute(
         self, key: Hashable, factory: Callable[[], object]
     ) -> object:
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = factory()
-            return self._entries[key]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    # dict-like read surface (snapshot semantics under the lock)
-
-    def keys(self):
-        with self._lock:
-            return list(self._entries.keys())
-
-    def __getitem__(self, key: Hashable) -> object:
-        with self._lock:
-            return self._entries[key]
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __eq__(self, other: object) -> bool:
-        with self._lock:
-            if isinstance(other, PartitionCache):
-                return self._entries == other._entries
-            if isinstance(other, dict):
-                return self._entries == other
-            return NotImplemented
+        """The layout under ``key``, partitioning on the first request."""
+        return super().get_or_compute(key, factory)
 
 
 def partition_database(

@@ -28,12 +28,10 @@ and is re-exported here alongside the serving-level caches.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.checkpoint import SegmentCache
+from ..core.store import BoundedStore, CacheStats
 from ..plans import PhysicalPlan, QuerySpec
 from ..plans.lowering import plan_cache_key
 from ..plans.runtime import batch_bytes
@@ -41,56 +39,20 @@ from ..plans.runtime import batch_bytes
 __all__ = ["CacheStats", "PlanCache", "ResultCache", "SegmentCache"]
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction accounting for one cache."""
+class PlanCache(BoundedStore):
+    """LRU cache of lowered physical plans, bounded by ``max_entries``.
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        if self.lookups <= 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-class PlanCache:
-    """LRU cache of lowered physical plans.
-
-    ``max_entries`` bounds memory: a serving deployment sees a finite set
-    of query shapes, but nothing enforces that, so the least recently
-    used plan is evicted once the bound is hit.
-
-    Thread-safe: lookups and stores take a reentrant lock.
-    ``fetch_or_prepare`` deliberately prepares *outside* the lock —
-    lowering is the expensive part and concurrent misses on distinct
-    keys must not serialize.
+    A serving deployment sees a finite set of query shapes, but nothing
+    enforces that, so the least recently used plan is evicted once the
+    bound is hit.  ``fetch_or_prepare`` deliberately prepares *outside*
+    the store's lock — lowering is the expensive part and concurrent
+    misses on distinct keys must not serialize.
     """
 
     def __init__(self, max_entries: int = 128):
         if max_entries < 1:
             raise ValueError("plan cache needs at least one entry")
-        self.max_entries = max_entries
-        self.stats = CacheStats()
-        self._entries: "OrderedDict[str, PhysicalPlan]" = OrderedDict()
-        self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(max_entries=max_entries)
 
     def key_for(self, engine, spec: QuerySpec) -> str:
         """The cache key ``engine`` would use for ``spec``."""
@@ -103,25 +65,6 @@ class PlanCache:
             adaptive_fact=engine.adaptive_fact,
         )
 
-    def lookup(self, key: str) -> Optional[PhysicalPlan]:
-        """The cached plan for ``key``, counting the hit or miss."""
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return plan
-
-    def store(self, key: str, plan: PhysicalPlan) -> None:
-        with self._lock:
-            self._entries[key] = plan
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
     def fetch_or_prepare(
         self, engine, spec: QuerySpec
     ) -> "tuple[PhysicalPlan, bool]":
@@ -132,25 +75,19 @@ class PlanCache:
         concurrent lookup's hit can land between the snapshots.
         """
         key = self.key_for(engine, spec)
-        plan = self.lookup(key)
+        plan = self.get(key)
         if plan is not None:
             return plan, True
         plan = engine.prepare_uncached(spec)
-        self.store(key, plan)
+        self.put(key, plan)
         return plan, False
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats()
 
 
 #: Default result-cache budget: 64 MiB of materialized rows.
 DEFAULT_RESULT_CACHE_BYTES = 64 * 1024 * 1024
 
 
-class ResultCache:
+class ResultCache(BoundedStore):
     """Byte-budgeted LRU cache of whole query results.
 
     Keyed by :func:`~repro.plans.lowering.plan_cache_key` plus an
@@ -165,83 +102,27 @@ class ResultCache:
     Entries are stored by reference.  That is safe for the same reason
     checkpoint capture-by-reference is: engine outputs are freshly
     materialized per execution and never mutated downstream.
-
-    Thread-safe: a reentrant lock keeps the entry map, the size map,
-    and the byte accounting in step under concurrent use.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_RESULT_CACHE_BYTES):
         if max_bytes < 1:
             raise ValueError("result cache needs a positive byte budget")
-        self.max_bytes = max_bytes
-        self.stats = CacheStats()
-        self.live_bytes = 0
-        self.peak_bytes = 0
-        self.stored = 0
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
-        self._sizes: Dict[str, int] = {}
-        self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(max_bytes=max_bytes)
 
     @staticmethod
     def result_bytes(result) -> int:
         """The byte footprint charged for ``result``."""
         return int(batch_bytes(result.batch))
 
-    def lookup(self, key: str):
-        """The cached result for ``key``, counting the hit or miss."""
-        with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return result
+    #: The cached result for a key, counting the hit or miss — ``get``
+    #: under the serving layer's name, bound on this class so per-layer
+    #: tracing can wrap result lookups alone.
+    lookup = BoundedStore.get
 
     def store(self, key: str, result) -> bool:
         """Admit ``result`` under ``key``; ``False`` if it cannot fit."""
-        size = self.result_bytes(result)
-        if size > self.max_bytes:
-            return False
-        with self._lock:
-            if key in self._entries:
-                self.live_bytes -= self._sizes[key]
-                del self._entries[key]
-                del self._sizes[key]
-            while self._entries and self.live_bytes + size > self.max_bytes:
-                evicted_key, _ = self._entries.popitem(last=False)
-                self.live_bytes -= self._sizes.pop(evicted_key)
-                self.stats.evictions += 1
-            self._entries[key] = result
-            self._sizes[key] = size
-            self.live_bytes += size
-            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-            self.stored += 1
-            return True
+        return self.put(key, result, self.result_bytes(result))
 
     def counters_dict(self) -> Dict[str, int]:
         """Deterministic counters (the serving report embeds these)."""
-        with self._lock:
-            return {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "evictions": self.stats.evictions,
-                "stored": self.stored,
-                "live_results": len(self._entries),
-                "live_bytes": self.live_bytes,
-                "peak_bytes": self.peak_bytes,
-            }
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._sizes.clear()
-            self.stats = CacheStats()
-            self.live_bytes = 0
-            self.peak_bytes = 0
-            self.stored = 0
+        return self.counters("live_results")

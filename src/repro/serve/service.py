@@ -60,6 +60,7 @@ from ..core import (
     ResilientExecutor,
     WorkerPool,
 )
+from ..core.store import counters_delta
 from ..errors import DeadlineExceededError, ExecutionError, ReproError
 from ..faults import FaultInjector, FaultPlan
 from ..gpu import DeviceSpec
@@ -88,20 +89,11 @@ __all__ = ["QueryService", "QUEUE_POLICIES"]
 QUEUE_POLICIES: Tuple[str, ...] = ("reject", "shed-oldest")
 
 
-def _stats_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:
-    return {key: after.get(key, 0) - before.get(key, 0) for key in after}
-
-
-def _cache_delta(
-    after: Dict[str, int], before: Dict[str, int]
-) -> Dict[str, int]:
-    """Per-drain cache counters: deltas for the monotonic counters,
-    current values for the occupancy (``live_*``/``peak_*``) entries."""
-    delta = _stats_delta(after, before)
-    for key in after:
-        if key.startswith(("live_", "peak_")):
-            delta[key] = after[key]
-    return delta
+#: Report fields that carry only some of their store's counters.
+_REPORTED = {
+    "plan_cache": ("hits", "misses", "evictions"),
+    "checkpoint": ("recorded", "resumed", "evicted", "invalidated"),
+}
 
 
 class QueryService:
@@ -702,25 +694,32 @@ class QueryService:
         ):
             return self._drain_batch_inner(batch, shed)
 
+    def _cache_counters(self) -> Dict[str, Optional[Dict[str, int]]]:
+        """Every store's counters under the report field they feed
+        (``None``: that cache is off)."""
+        return {
+            "plan_cache": self.plan_cache.counters(),
+            "calibration_cache": calibration_cache_stats(),
+            "search_cache": search_cache_stats(),
+            "result_cache": (
+                self.result_cache.counters_dict()
+                if self.result_cache is not None
+                else None
+            ),
+            "segment_cache": (
+                self.segment_cache.counters_dict()
+                if self.segment_cache is not None
+                else None
+            ),
+            "checkpoint": self.checkpoint_store.counters_dict(),
+        }
+
     def _drain_batch_inner(
         self,
         batch: Sequence[Tuple[int, QuerySpec, Optional[FaultPlan]]],
         shed: Sequence[Tuple[int, QuerySpec]] = (),
     ) -> ServiceReport:
-        plan_before = self.plan_cache.stats.as_dict()
-        calibration_before = calibration_cache_stats()
-        search_before = search_cache_stats()
-        checkpoint_before = self.checkpoint_store.counters_dict()
-        result_before = (
-            self.result_cache.counters_dict()
-            if self.result_cache is not None
-            else {}
-        )
-        segment_before = (
-            self.segment_cache.counters_dict()
-            if self.segment_cache is not None
-            else {}
-        )
+        before = self._cache_counters()
         health = self._sharded.health if self._sharded is not None else None
         health_probes_before = health.probes if health is not None else 0
         health_quarantines_before = (
@@ -1009,6 +1008,12 @@ class QueryService:
                 )
             )
 
+        cache_deltas = {
+            name: {}
+            if after is None
+            else counters_delta(before[name], after, _REPORTED.get(name))
+            for name, after in self._cache_counters().items()
+        }
         report = ServiceReport(
             device=self.device.name,
             policy=self.scheduler.policy,
@@ -1017,34 +1022,9 @@ class QueryService:
             memory_budget_bytes=self.memory_budget_bytes,
             makespan_ms=clock_ms,
             records=records,
-            plan_cache=_stats_delta(
-                self.plan_cache.stats.as_dict(), plan_before
-            ),
-            calibration_cache=_stats_delta(
-                calibration_cache_stats(), calibration_before
-            ),
-            search_cache=_stats_delta(search_cache_stats(), search_before),
-            result_cache=(
-                _cache_delta(
-                    self.result_cache.counters_dict(), result_before
-                )
-                if self.result_cache is not None
-                else {}
-            ),
-            segment_cache=(
-                _cache_delta(
-                    self.segment_cache.counters_dict(), segment_before
-                )
-                if self.segment_cache is not None
-                else {}
-            ),
             shared_scan_rounds=shared_scan_rounds,
             breaker=breaker_states(self._breakers),
-            checkpoint={
-                key: self.checkpoint_store.counters_dict()[key]
-                - checkpoint_before[key]
-                for key in ("recorded", "resumed", "evicted", "invalidated")
-            },
+            **cache_deltas,
             faults_scheduled=faults_scheduled,
             faults_fired_total=faults_fired_total,
             faults_unfired=[

@@ -357,8 +357,6 @@ class ShardedExecutor:
             if device_specs
             else None
         )
-        # (table, key, num_shards) -> (shard databases, metadata); the
-        # executor is bound to one database, so the key needs no db id.
         self._partition_cache = PartitionCache()
 
     # -- partitioning -----------------------------------------------------
@@ -366,7 +364,12 @@ class ShardedExecutor:
     def _partitions(
         self, plan: ShardPlan, num_shards: int
     ) -> Tuple[List[Database], PartitionMetadata]:
-        key = (plan.partition_table, plan.partition_key, num_shards)
+        key = (
+            plan.partition_table,
+            plan.partition_key,
+            num_shards,
+            self.database.fingerprint,
+        )
         return self._partition_cache.get_or_compute(
             key,
             lambda: partition_database(

@@ -113,8 +113,8 @@ class TestSegmentCacheBounds:
         cache.store("b", _segment("b", 8))
         cache.store("c", _segment("c", 8))
         assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.entry_for("a") is None
+        assert cache.stats.evictions == 1
+        assert cache.peek("a") is None
         assert cache.live_bytes == 2 * 64
 
     def test_segment_count_bound(self):
@@ -122,7 +122,7 @@ class TestSegmentCacheBounds:
         cache.store("a", _segment("a", 8))
         cache.store("b", _segment("b", 8))
         assert len(cache) == 1
-        assert cache.entry_for("b") is not None
+        assert cache.peek("b") is not None
 
     def test_oversized_segment_rejected(self):
         cache = SegmentCache(max_bytes=63, max_segments=256)
@@ -142,10 +142,10 @@ class TestEngineSegmentCache:
         engine = GPLEngine(tiny_db, AMD_A10)
         engine.segment_cache = cache
         cold = engine.execute(q5())
-        assert cache.hits == 0
-        assert cache.stored == len(engine.prepare(q5()).pipelines)
+        assert cache.stats.hits == 0
+        assert cache.stats.stored == len(engine.prepare(q5()).pipelines)
         hot = engine.execute(q5())
-        assert cache.hits == cache.stored
+        assert cache.stats.hits == cache.stats.stored
         assert cold.sorted_rows() == reference
         assert hot.sorted_rows() == reference
 
@@ -159,11 +159,11 @@ class TestEngineSegmentCache:
         engine = GPLEngine(tiny_db, AMD_A10)
         engine.segment_cache = cache
         full = engine.execute(base)
-        assert cache.hits == 0
+        assert cache.stats.hits == 0
         engine_b = GPLEngine(tiny_db, AMD_A10)
         engine_b.segment_cache = cache
         limited = engine_b.execute(variant)
-        assert cache.hits > 0  # the shared build prefix was spliced
+        assert cache.stats.hits > 0  # the shared build prefix was spliced
         reference = GPLEngine(tiny_db, AMD_A10).execute(variant)
         assert limited.sorted_rows() == reference.sorted_rows()
         assert len(limited.rows()) == 3
@@ -280,6 +280,27 @@ class TestKeyMemo:
         assert report.result_cache["misses"] == 1
         fresh = KBEEngine(database, AMD_A10).execute(q14()).sorted_rows()
         assert rows_for(service, 2) == fresh
+        assert fresh != stale
+
+    def test_service_misses_after_same_shape_add(self, tiny_db):
+        database = _copy_of(tiny_db)
+        service = service_for(
+            database, result_cache_bytes=64 * MIB, segment_cache_bytes=256 * MIB
+        )
+        service.run([q5()])
+        stale = rows_for(service, 0)
+        lineitem = database.table("lineitem")
+        price = lineitem.column("l_extendedprice")
+        database.add(
+            "lineitem",
+            Table(lineitem.schema, {**lineitem.columns, "l_extendedprice": price * 2}),
+        )
+        assert database.table("lineitem").nbytes == lineitem.nbytes
+        report = service.run([q5()])
+        assert report.cached == 0
+        assert report.result_cache["misses"] == 1
+        fresh = KBEEngine(database, AMD_A10).execute(q5()).sorted_rows()
+        assert rows_for(service, 1) == fresh
         assert fresh != stale
 
 

@@ -67,7 +67,7 @@ class TestStoreBounds:
         for seg in ("a", "b", "c"):
             context.intermediates[f"out_{seg}"] = _batch(8)
             window.record(seg, context)
-        assert store.evicted_total == 1
+        assert store.stats.evictions == 1
         assert store.live_bytes <= store.max_bytes
         # The evicted segment (oldest: "a") is a clean miss, not an error.
         assert not window.restore("a", ExecutionContext())
@@ -80,7 +80,7 @@ class TestStoreBounds:
         context = ExecutionContext()
         context.intermediates["out_a"] = _batch(1024)
         window.record("a", context)
-        assert store.recorded_total == 0
+        assert store.stats.stored == 0
         assert not window.restore("a", ExecutionContext())
 
     def test_begin_attempt_invalidates_replanned_segments(self):
@@ -171,7 +171,7 @@ class TestResumeGolden:
         )
         executor.execute(query_by_name("Q14"))
         executor.execute(query_by_name("Q5"))
-        assert store.recorded_total > 0
+        assert store.stats.stored > 0
         assert store.live_bytes == 0  # finished queries hold nothing
 
     def test_checkpoints_survive_fallback_to_kbe(self, tiny_db, amd):

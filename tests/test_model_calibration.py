@@ -34,6 +34,14 @@ class TestCalibrationRun:
     def test_cached_per_device(self):
         assert calibrate_channels(AMD_A10) is calibrate_channels(AMD_A10)
 
+    def test_memo_keys_on_the_swept_grid(self):
+        small = calibrate_channels(AMD_A10, sizes=(1024,), channels=(1,))
+        assert len(small.points) == 4  # one size x one channel x 4 packets
+        full = calibrate_channels(AMD_A10)
+        assert len(full.points) == 144
+        assert len(full.configurations()) == 24
+        assert calibrate_channels(AMD_A10, sizes=(1024,), channels=(1,)) is small
+
     def test_points_positive(self, amd_table):
         for point in amd_table.points:
             assert point.elapsed_cycles > 0

@@ -152,8 +152,8 @@ class TestSharedStoreHammer:
         def worker(seed):
             for i in range(HAMMER_OPS):
                 key = f"k{(seed * 7 + i) % 24}"
-                if cache.lookup(key) is None:
-                    cache.store(key, object())
+                if cache.get(key) is None:
+                    cache.put(key, object())
 
         _hammer(worker)
         assert len(cache) <= 8
@@ -189,11 +189,15 @@ class TestSharedStoreHammer:
                 entry = SegmentCheckpoint(
                     segment_id=f"s{i}", nbytes=256
                 )
-                store._put(seed, entry)
+                key = (seed, f"s{i}")
+                store.put(key, entry, entry.nbytes)
                 if i % 3 == 0:
-                    store._get(seed, f"s{i}")
+                    store.get(key)
                 if i % 5 == 0:
-                    store._drop(seed, f"s{i}", invalidated=i % 2 == 0)
+                    if i % 2 == 0:
+                        store.invalidate(key)
+                    else:
+                        store.pop(key)
 
         _hammer(worker)
         counters = store.counters_dict()

@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from repro.core import GPLConfig, GPLEngine
+from repro.core import BoundedStore, GPLConfig, GPLEngine
 from repro.errors import ModelError, OccupancyError
 from repro.gpu import AMD_A10, NVIDIA_K40, KernelSpec
 from repro.model import (
@@ -26,7 +26,9 @@ from repro.model import (
     SegmentCostInput,
     TILE_SIZE_CANDIDATES,
     calibrate_channels,
+    clear_search_cache,
     plan_cost_inputs,
+    search_cache_stats,
     workgroup_ladder,
 )
 from repro.ssb import SSB_QUERIES, generate_ssb
@@ -167,55 +169,43 @@ class TestMeasuredEffect:
 
 
 class TestSearchCacheBound:
-    def test_lru_eviction_counted_and_bounded(self, search, q8_segments):
-        from repro.model.search import (
-            DEFAULT_SEARCH_CACHE_LIMIT,
-            clear_search_cache,
-            search_cache_stats,
-            set_search_cache_limit,
-        )
+    """The memo is a ``BoundedStore``; the tests shrink it in place."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        from repro.model import search as search_module
 
         clear_search_cache()
-        try:
-            set_search_cache_limit(1)
-            search.optimize_plan(q8_segments)  # > 1 distinct segments
-            stats = search_cache_stats()
-            assert stats["limit"] == 1
-            assert stats["size"] <= 1
-            assert stats["evictions"] >= len(q8_segments) - 1
-            # A re-run now misses on the evicted shapes instead of hitting.
-            misses = stats["misses"]
-            search.optimize_plan(q8_segments)
-            assert search_cache_stats()["misses"] > misses
-        finally:
-            set_search_cache_limit(DEFAULT_SEARCH_CACHE_LIMIT)
-            clear_search_cache()
-
-    def test_hits_refresh_lru_order(self, search, q8_segments):
-        from repro.model.search import (
-            DEFAULT_SEARCH_CACHE_LIMIT,
-            clear_search_cache,
-            search_cache_stats,
-            set_search_cache_limit,
-        )
-
+        yield search_module._SEARCH_MEMO
         clear_search_cache()
-        try:
-            set_search_cache_limit(len(q8_segments))
-            search.optimize_plan(q8_segments)  # fills the cache exactly
-            search.optimize_plan(q8_segments)  # all hits, no evictions
-            stats = search_cache_stats()
-            assert stats["hits"] >= len(q8_segments)
-            assert stats["evictions"] == 0
-        finally:
-            set_search_cache_limit(DEFAULT_SEARCH_CACHE_LIMIT)
-            clear_search_cache()
+
+    def test_lru_eviction_counted_and_bounded(
+        self, memo, monkeypatch, search, q8_segments
+    ):
+        monkeypatch.setattr(memo, "max_entries", 1)
+        search.optimize_plan(q8_segments)  # > 1 distinct segments
+        stats = search_cache_stats()
+        assert stats["limit"] == 1
+        assert stats["size"] <= 1
+        assert stats["evictions"] >= len(q8_segments) - 1
+        # A re-run now misses on the evicted shapes instead of hitting.
+        misses = stats["misses"]
+        search.optimize_plan(q8_segments)
+        assert search_cache_stats()["misses"] > misses
+
+    def test_hits_refresh_lru_order(
+        self, memo, monkeypatch, search, q8_segments
+    ):
+        monkeypatch.setattr(memo, "max_entries", len(q8_segments))
+        search.optimize_plan(q8_segments)  # fills the cache exactly
+        search.optimize_plan(q8_segments)  # all hits, no evictions
+        stats = search_cache_stats()
+        assert stats["hits"] >= len(q8_segments)
+        assert stats["evictions"] == 0
 
     def test_limit_must_be_positive(self):
-        from repro.model.search import set_search_cache_limit
-
         with pytest.raises(ValueError):
-            set_search_cache_limit(0)
+            BoundedStore(max_entries=-1)
 
 
 class TestRecordedChoices:

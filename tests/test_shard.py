@@ -20,6 +20,7 @@ from repro.core import GPLEngine
 from repro.errors import ExecutionError, PlanError, SchemaError
 from repro.faults import FaultPlan
 from repro.gpu import AMD_A10, NVIDIA_K40
+from repro.kbe import KBEEngine
 from repro.plans import (
     AggSpec,
     JoinEdge,
@@ -412,9 +413,24 @@ class TestShardedEquivalence:
     def test_partition_cache_reused_across_queries(self, tiny_db):
         executor = ShardedExecutor(tiny_db, DevicePool(2))
         executor.execute(q5())
-        cached = dict(executor._partition_cache)
+        store = executor._partition_cache
+        cached = dict(store._entries)
         executor.execute(q5())
-        assert executor._partition_cache == cached
+        assert dict(store._entries) == cached
+
+    def test_add_repartitions_instead_of_serving_stale_rows(self):
+        database = generate_database(scale=0.002, seed=1)
+        executor = ShardedExecutor(database, DevicePool(2))
+        before = executor.execute(q14()).rows()[0][0]
+        assert before == pytest.approx(16.1452, abs=1e-4)
+        lineitem = database.table("lineitem")
+        database.add(
+            "lineitem", lineitem.filter(np.arange(lineitem.num_rows) % 2 == 0)
+        )
+        after = executor.execute(q14()).rows()[0][0]
+        fresh = KBEEngine(database, AMD_A10).execute(q14()).rows()[0][0]
+        assert fresh == pytest.approx(9.8605, abs=1e-4)
+        assert after == pytest.approx(fresh)
 
     def test_report_accounting(self, tiny_db, pool3):
         result = ShardedExecutor(tiny_db, pool3).execute(q5())
@@ -565,13 +581,13 @@ class TestScatterPlanCache:
     def test_shard_plans_are_cached_per_shard(self, scatter_db, monkeypatch):
         executor = ShardedExecutor(scatter_db, DevicePool(4))
         stored = {}
-        store = executor.plan_cache.store
+        put = executor.plan_cache.put
 
-        def recording_store(key, plan):
+        def recording_put(key, plan):
             stored[key] = plan
-            store(key, plan)
+            return put(key, plan)
 
-        monkeypatch.setattr(executor.plan_cache, "store", recording_store)
+        monkeypatch.setattr(executor.plan_cache, "put", recording_put)
         executor.execute(q9())
         assert len(stored) == 5
         shard_plans = list(stored.values())[:4]  # the gather plan is last

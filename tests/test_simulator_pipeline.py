@@ -417,7 +417,7 @@ class TestSimulationMemo:
         assert (stats["hits"], stats["misses"], stats["size"]) == (0, 2, 0)
 
     def test_lru_evicts_at_its_cap(self, monkeypatch):
-        monkeypatch.setattr(simulator_module, "SIMULATION_MEMO_LIMIT", 2)
+        monkeypatch.setattr(simulator_module._SIM_MEMO, "max_entries", 2)
         for tiles in (1, 2, 1, 3):  # 1 is refreshed, so 2 is the victim
             run_two_stage(num_tiles=tiles)
         stats = simulation_memo_stats()
