@@ -30,7 +30,13 @@ Six checks over every tracked markdown file:
    without documentation;
 6. **reachability** — every ``docs/*.md`` page must be reachable by
    following relative links from ``docs/README.md``, so a page cannot
-   be orphaned from the index.
+   be orphaned from the index;
+7. **measured figures** — the numbers EXPERIMENTS.md's "Measured"
+   column states for the paper claims in ``MEASURED_CLAIMS`` (Figs 11
+   and 24: error range and mean; Figs 16 and 27: improvement range;
+   Fig 22: the largest-scale Q8/Q9 GPL/Ocelot ratios) must equal the
+   committed ``benchmarks/results/*.txt``, rounded as the doc writes
+   them, so a moved figure cannot leave a stale claim behind.
 
 Exit code 0 when clean, 1 with one line per problem otherwise.  Run
 from the repository root (CI does); no arguments.
@@ -92,6 +98,40 @@ MUST_DOCUMENT_FLAGS = {
 }
 
 DOCS_INDEX = REPO / "docs" / "README.md"
+
+# Check 7: EXPERIMENTS.md claims computed from benchmarks/results.
+EXPERIMENTS_DOC = REPO / "EXPERIMENTS.md"
+RESULTS_DIR = REPO / "benchmarks" / "results"
+MEASURED_ROW_RE = re.compile(r"^\| \*\*(Fig \d+)\*\*[^|]*\|[^|]*\|([^|]*)\|")
+
+
+def _error_range_and_mean(tables):
+    errors = [float(row["rel. error"]) for row in tables[-1]]
+    return min(errors), max(errors), sum(errors) / len(errors)
+
+
+def _improvement_range(tables):
+    gains = [float(row["improvement"].rstrip("%")) for row in tables[-1]]
+    return min(gains), max(gains)
+
+
+def _q8_q9_ratios(tables):
+    rows = {row["query"]: float(row["GPL / Ocelot"]) for row in tables[-1]}
+    return rows["Q8"], rows["Q9"]
+
+
+_ERRORS = (r"([\d.]+)–([\d.]+) \(mean ([\d.]+)\)", _error_range_and_mean)
+_GAINS = (r"improvements (\d+)–(\d+) %", _improvement_range)
+
+#: figure -> (results file, pattern of the claim in the Measured cell,
+#: the claimed numbers computed from the file's last table).
+MEASURED_CLAIMS = {
+    "Fig 11": ("fig11_model_error", *_ERRORS),
+    "Fig 24": ("fig24_model_error_nvidia", *_ERRORS),
+    "Fig 16": ("fig16_overall_amd", *_GAINS),
+    "Fig 27": ("fig27_overall_nvidia", *_GAINS),
+    "Fig 22": ("fig22_ocelot", r"Q8 ([\d.]+)×, Q9 ([\d.]+)×", _q8_q9_ratios),
+}
 
 
 def _script_flags(script_path):
@@ -229,6 +269,46 @@ def iter_problems():
 
     # 6. every docs/*.md page reachable from the docs index
     yield from _reachability_problems()
+
+    # 7. EXPERIMENTS.md's measured claims match benchmarks/results
+    yield from _measured_problems()
+
+
+def _result_tables(name):
+    """The tables of ``benchmarks/results/<name>.txt``, in file order,
+    each a list of rows keyed by column header."""
+    tables, header = [], None
+    for line in (RESULTS_DIR / f"{name}.txt").read_text().splitlines():
+        if line.startswith("query "):
+            header = re.split(r"\s{2,}", line.strip())
+            tables.append([])
+        elif header is None or not line.strip():
+            header = None
+        elif not line.lstrip().startswith("-"):
+            tables[-1].append(dict(zip(header, line.split())))
+    return tables
+
+
+def _measured_problems():
+    rel = EXPERIMENTS_DOC.relative_to(REPO)
+    cells = {}
+    for line in EXPERIMENTS_DOC.read_text().splitlines():
+        match = MEASURED_ROW_RE.match(line)
+        if match:
+            cells[match.group(1)] = match.group(2)
+    for figure, (result, pattern, claimed) in MEASURED_CLAIMS.items():
+        match = re.search(pattern, cells.get(figure, ""))
+        if match is None:
+            yield f"{rel}: {figure} Measured cell does not match {pattern!r}"
+            continue
+        values = claimed(_result_tables(result))
+        for stated, value in zip(match.groups(), values):
+            rounded = f"{value:.{len(stated.partition('.')[2])}f}"
+            if rounded != stated:
+                yield (
+                    f"{rel}: {figure} states {stated}, "
+                    f"benchmarks/results/{result}.txt gives {rounded}"
+                )
 
 
 def _reachability_problems():

@@ -2,15 +2,16 @@
 
 Every engine (KBE baseline, GPL, GPL w/o CE, Ocelot comparator) executes
 the *same* physical pipelines functionally — real numpy data flows through
-the operators, so all engines produce identical, verifiable answers — and
-differs only in how kernel work is *accounted* on the simulated device.
+the operators in one shared pass (:meth:`EngineBase._functional_pass`),
+so all engines produce identical, verifiable answers — and differs only
+in how kernel work is *accounted* on the simulated device.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -366,11 +367,37 @@ class EngineBase:
         return {name: upstream[name] for name in pipeline.source_columns}
 
     @staticmethod
-    def _register_output(
-        pipeline: Pipeline, context: ExecutionContext, output: Optional[Batch]
-    ) -> None:
+    def _functional_pass(
+        pipeline: Pipeline, batches: Iterable[Batch], context: ExecutionContext
+    ) -> Tuple[Optional[Batch], List[int], List[int], int]:
+        """Run the pipeline's operators over ``batches`` into its sink.
+
+        The one place any engine moves real data: ``sink.start``, then
+        per batch every op's ``apply`` and ``sink.consume``, then
+        ``sink.finalize``.  The output is registered with its arrays
+        made read-only, because checkpoints and segment/result caches
+        hold them by reference.  Returns ``(output, rows_in, rows_out,
+        sink_rows)``: per-op row totals and the rows that reached the
+        sink, which do not depend on how the input is cut into batches.
+        """
+        sink = pipeline.sink
+        rows_in = [0] * len(pipeline.ops)
+        rows_out = [0] * len(pipeline.ops)
+        sink_rows = 0
+        sink.start(context)
+        for batch in batches:
+            for index, op in enumerate(pipeline.ops):
+                rows_in[index] += batch_rows(batch)
+                batch = op.apply(batch, context)
+                rows_out[index] += batch_rows(batch)
+            sink_rows += batch_rows(batch)
+            sink.consume(batch, context)
+        output = sink.finalize(context)
         if output is not None:
+            for array in output.values():
+                array.flags.writeable = False
             context.intermediates[pipeline.output_id] = output
+        return output, rows_in, rows_out, sink_rows
 
     @staticmethod
     def _actual_selectivity(rows_in: int, rows_out: int) -> float:

@@ -127,46 +127,25 @@ class GPLEngine(EngineBase):
     ) -> None:
         config = self.config_for(pipeline.pipeline_id)
         batch = self._source_batch(pipeline, context)
-        total_rows = batch_rows(batch)
         row_width = max(1, pipeline.source_row_width)
 
         tiler = Tiler(config.tile_bytes)
-        plan = tiler.plan(total_rows, row_width)
-
+        plan = tiler.plan(batch_rows(batch), row_width)
         templates = self._templates(pipeline)
-        rows_in = [0] * len(templates)
-        rows_out = [0] * len(templates)
-        num_ops = len(pipeline.ops)
 
         # ---- functional pass: real data, tile by tile -----------------
-        pipeline.sink.start(context)
-        sink_output_rows = 0
-        for tile in tiler.tiles(batch, row_width):
-            current = tile
-            for index, op in enumerate(pipeline.ops):
-                rows_in[index] += batch_rows(current)
-                current = op.apply(current, context)
-                rows_out[index] += batch_rows(current)
-            # Sink kernels (possibly several, e.g. partition + build)
-            # all see the full stream reaching the sink.
-            for position in range(num_ops, len(templates)):
-                rows_in[position] += batch_rows(current)
-            pipeline.sink.consume(current, context)
-        output = pipeline.sink.finalize(context)
-        if output is not None:
-            sink_output_rows = batch_rows(output)
-        if num_ops < len(templates):
-            # Interior sink kernels pass the stream through unchanged...
-            for position in range(num_ops, len(templates) - 1):
-                rows_out[position] = rows_in[position]
-            # ...and the terminal one either materializes everything it
-            # consumed (build) or emits the finalized result (aggregate).
-            last = len(templates) - 1
-            if output is None:
-                rows_out[last] = rows_in[last]
-            else:
-                rows_out[last] = sink_output_rows
-        self._register_output(pipeline, context, output)
+        output, rows_in, rows_out, sink_rows = self._functional_pass(
+            pipeline, tiler.tiles(batch, row_width), context
+        )
+        # Sink kernels (possibly several, e.g. partition + build) all see
+        # the full stream reaching the sink; interior ones pass it through
+        # unchanged, and the terminal one either materializes everything
+        # it consumed (build) or emits the finalized result (aggregate).
+        sink_kernels = len(templates) - len(pipeline.ops)
+        rows_in += [sink_rows] * sink_kernels
+        rows_out += [sink_rows] * sink_kernels
+        if sink_kernels and output is not None:
+            rows_out[-1] = batch_rows(output)
 
         # ---- simulated execution --------------------------------------
         if not templates or plan.num_tiles == 0:

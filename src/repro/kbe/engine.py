@@ -11,12 +11,11 @@ every kernel's output is explicitly materialized in global memory — the
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from ..gpu import DataLocation, KernelLaunch, Simulator
 from ..plans import ExecutionContext, KernelTemplate, Pipeline
-from ..plans.physical import BuildSink
-from ..plans.runtime import Batch, batch_rows
+from ..plans.physical import StreamOp
 from ..core.base import EngineBase, workgroups_for
 
 __all__ = ["KBEEngine"]
@@ -27,46 +26,49 @@ class KBEEngine(EngineBase):
 
     name = "KBE"
 
+    #: Template selectivities a kernel keeps over the measured one: flag
+    #: maps and prefix sums (1.0) touch every tuple whatever survives.
+    kept_selectivities: Tuple[float, ...] = (1.0,)
+
     def _run_pipeline(
         self,
         pipeline: Pipeline,
         simulator: Simulator,
         context: ExecutionContext,
     ) -> None:
-        batch = self._source_batch(pipeline, context)
-        pipeline.sink.start(context)
-
+        skip_kernels = self._skips_kernels(pipeline)
+        _, rows_in, rows_out, sink_rows = self._functional_pass(
+            pipeline, [self._source_batch(pipeline, context)], context
+        )
+        if skip_kernels:
+            return
+        launches = [
+            (template, n_in, self._actual_selectivity(n_in, n_out))
+            for op, n_in, n_out in zip(pipeline.ops, rows_in, rows_out)
+            for template in self._op_kernels(op)
+        ]
+        launches += [
+            (template, sink_rows, None)
+            for template in pipeline.sink.kbe_kernels(rows=sink_rows)
+        ]
         # Only the very first kernel streams the pipeline's source; every
         # later kernel reloads a freshly materialized intermediate — the
         # memory ping-pong of Section 2.2.
         reads_intermediate = pipeline.source_table is None
-
-        for op in pipeline.ops:
-            rows_in = batch_rows(batch)
-            batch = op.apply(batch, context)
-            rows_out = batch_rows(batch)
-            actual = self._actual_selectivity(rows_in, rows_out)
-            for template in op.kbe_kernels():
-                self._run_kernel(
-                    simulator, context, template, rows_in, actual,
-                    reads_intermediate,
-                )
-                reads_intermediate = True
-
-        rows_in = batch_rows(batch)
-        pipeline.sink.consume(batch, context)
-        for template in pipeline.sink.kbe_kernels():
+        for template, tuples, actual in launches:
             self._run_kernel(
-                simulator, context, template, rows_in, None,
+                simulator, context, template, tuples, actual,
                 reads_intermediate,
             )
             reads_intermediate = True
-        output = pipeline.sink.finalize(context)
-        if isinstance(pipeline.sink, BuildSink):
-            # The hash table itself is a materialized intermediate; its
-            # write cost is inside the build kernel's accounting already.
-            pass
-        self._register_output(pipeline, context, output)
+
+    def _skips_kernels(self, pipeline: Pipeline) -> bool:
+        """Whether ``pipeline`` runs without launching any kernel."""
+        return False
+
+    def _op_kernels(self, op: StreamOp) -> List[KernelTemplate]:
+        """One operator's kernel expansion."""
+        return op.kbe_kernels()
 
     def _run_kernel(
         self,
@@ -79,12 +81,15 @@ class KBEEngine(EngineBase):
     ) -> None:
         """Launch one KBE kernel exclusively, with launch overhead.
 
-        Kernels whose template selectivity is 1.0 (flag maps, prefix sums)
-        keep it; data-reducing kernels use the measured selectivity when
-        one is available.
+        Kernels whose template selectivity is in
+        :attr:`kept_selectivities` keep it; data-reducing kernels use the
+        measured selectivity when one is available.
         """
         selectivity = template.est_selectivity
-        if actual_selectivity is not None and template.est_selectivity != 1.0:
+        if (
+            actual_selectivity is not None
+            and template.est_selectivity not in self.kept_selectivities
+        ):
             selectivity = actual_selectivity
 
         aux_ws = self._aux_working_set(context, template)

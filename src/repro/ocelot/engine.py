@@ -16,19 +16,20 @@ positions (reading the bitmap plus the base columns of candidate rows)
 rather than a compacted intermediate.  This is exactly the trade the
 paper describes, and it is why Ocelot tracks GPL on selection-dominated
 queries but falls behind on join-deep Q8/Q9.
+
+Everything else is :class:`~repro.kbe.KBEEngine`'s: Ocelot overrides only
+the operator kernel expansion, the kept selectivities and the build skip.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Set, Tuple
 
-from ..core.base import EngineBase, workgroups_for
-from ..gpu import DataLocation, KernelLaunch, Simulator
-from ..plans import ExecutionContext, KernelTemplate, Pipeline
+from ..kbe.engine import KBEEngine
+from ..plans import KernelTemplate, Pipeline
 from ..plans import kernels as klib
-from ..plans.physical import BuildSink, FilterOp
-from ..plans.runtime import batch_rows
+from ..plans.physical import BuildSink, FilterOp, StreamOp
 
 __all__ = ["OcelotEngine"]
 
@@ -36,65 +37,23 @@ __all__ = ["OcelotEngine"]
 _BITMAP_WIDTH = 0.125
 
 
-class OcelotEngine(EngineBase):
+class OcelotEngine(KBEEngine):
     """Kernel-based execution with bitmaps and hash-table caching."""
 
     name = "Ocelot"
 
+    #: A bitmap select writes its bitmap whatever survives it.
+    kept_selectivities = KBEEngine.kept_selectivities + (_BITMAP_WIDTH,)
+
     def __init__(self, database, device, **kwargs):
         super().__init__(database, device, **kwargs)
-        # (table, key, payload, predicate fingerprint) -> cached flag
-        self._hash_table_cache: Dict[Tuple, bool] = {}
+        # (table, key, payload, predicate fingerprint) of every build
+        self._hash_table_cache: Set[Tuple] = set()
 
     def clear_hash_table_cache(self) -> None:
         self._hash_table_cache.clear()
 
-    # ------------------------------------------------------------------
-
-    def _run_pipeline(
-        self,
-        pipeline: Pipeline,
-        simulator: Simulator,
-        context: ExecutionContext,
-    ) -> None:
-        cached_build = self._is_cached_build(pipeline)
-
-        batch = self._source_batch(pipeline, context)
-        pipeline.sink.start(context)
-
-        reads_intermediate = pipeline.source_table is None
-        for op in pipeline.ops:
-            rows_in = batch_rows(batch)
-            batch = op.apply(batch, context)
-            rows_out = batch_rows(batch)
-            actual = self._actual_selectivity(rows_in, rows_out)
-            if not cached_build:
-                for template, positions in self._ocelot_kernels(
-                    op, rows_in
-                ):
-                    self._run_kernel(
-                        simulator, context, template, positions, actual,
-                        reads_intermediate,
-                    )
-                    reads_intermediate = True
-            else:
-                reads_intermediate = True
-
-        rows_in = batch_rows(batch)
-        pipeline.sink.consume(batch, context)
-        if not cached_build:
-            for template in pipeline.sink.kbe_kernels():
-                self._run_kernel(
-                    simulator, context, template, rows_in, None,
-                    reads_intermediate,
-                )
-                reads_intermediate = True
-        output = pipeline.sink.finalize(context)
-        self._register_output(pipeline, context, output)
-
-    # ------------------------------------------------------------------
-
-    def _is_cached_build(self, pipeline: Pipeline) -> bool:
+    def _skips_kernels(self, pipeline: Pipeline) -> bool:
         """Check/populate the hash-table cache for build pipelines."""
         if not isinstance(pipeline.sink, BuildSink):
             return False
@@ -107,13 +66,11 @@ class OcelotEngine(EngineBase):
         )
         if fingerprint in self._hash_table_cache:
             return True
-        self._hash_table_cache[fingerprint] = True
+        self._hash_table_cache.add(fingerprint)
         return False
 
-    def _ocelot_kernels(
-        self, op, rows_in: int
-    ) -> List[Tuple[KernelTemplate, int]]:
-        """Ocelot's kernel expansion: (template, positions scanned).
+    def _op_kernels(self, op: StreamOp) -> List[KernelTemplate]:
+        """Ocelot's kernel expansion of one operator.
 
         Selections become a single bitmap kernel (MonetDB candidate
         lists); downstream operators process the qualifying rows plus one
@@ -123,52 +80,21 @@ class OcelotEngine(EngineBase):
             # One map kernel writing a bitmap; no prefix sum, no scatter.
             spec = klib.flag_map_kernel([op.predicate])
             spec = replace(spec, name="k_bitmap_select")
-            template = KernelTemplate(
-                spec=spec,
-                in_width=op.in_width,
-                out_width=1,  # bitmap byte per 8 tuples, rounded up
-                est_selectivity=_BITMAP_WIDTH,
+            return [
+                KernelTemplate(
+                    spec=spec,
+                    in_width=op.in_width,
+                    out_width=1,  # bitmap byte per 8 tuples, rounded up
+                    est_selectivity=_BITMAP_WIDTH,
+                )
+            ]
+        return [
+            replace(
+                template,
+                spec=replace(
+                    template.spec,
+                    memory_instr=template.spec.memory_instr + 1.0,
+                ),
             )
-            return [(template, rows_in)]
-        expanded = []
-        for template in op.kbe_kernels():
-            spec = replace(
-                template.spec, memory_instr=template.spec.memory_instr + 1.0
-            )
-            expanded.append((replace(template, spec=spec), rows_in))
-        return expanded
-
-    def _run_kernel(
-        self,
-        simulator: Simulator,
-        context: ExecutionContext,
-        template: KernelTemplate,
-        positions: int,
-        actual_selectivity: Optional[float],
-        input_is_intermediate: bool = False,
-    ) -> None:
-        selectivity = template.est_selectivity
-        if (
-            actual_selectivity is not None
-            and template.est_selectivity != 1.0
-            and template.est_selectivity != _BITMAP_WIDTH
-        ):
-            selectivity = actual_selectivity
-        aux_ws = self._aux_working_set(context, template)
-        launch = KernelLaunch(
-            spec=template.spec,
-            tuples=positions,
-            workgroups=workgroups_for(positions),
-            in_bytes_per_tuple=template.in_width,
-            out_bytes_per_tuple=template.out_width,
-            selectivity=selectivity,
-            input_location=DataLocation.GLOBAL,
-            output_location=DataLocation.GLOBAL,
-        )
-        simulator.launch_overhead()
-        simulator.run_exclusive(
-            launch,
-            aux_reads_per_tuple=template.aux_reads_per_tuple,
-            aux_working_set_bytes=aux_ws,
-            input_is_intermediate=input_is_intermediate,
-        )
+            for template in op.kbe_kernels()
+        ]

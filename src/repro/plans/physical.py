@@ -15,6 +15,10 @@ Every operator carries two kinds of kernel expansion:
 * ``kbe_kernels()`` — the conventional kernel-based form: selection is
   ``k_map`` + ``k_prefix_sum`` + ``k_scatter``, probe is count/prefix/
   scatter, aggregation materializes per-tuple values then prefix-scans.
+  A sink's form is ``kbe_kernels(rows=0)``: ``rows`` is the number of
+  tuples that reached it, which only the sort kernel reads (GPL's
+  ``gpl_kernels()`` sort is sized at the 2-row floor).  No template
+  reads a sink's run state.
 
 Engines execute the *same* functional ``apply``/``consume`` code for both,
 so correctness is engine-independent; only kernel accounting differs.
@@ -406,7 +410,8 @@ class SinkOp:
     def gpl_kernels(self) -> List[KernelTemplate]:
         raise NotImplementedError
 
-    def kbe_kernels(self) -> List[KernelTemplate]:
+    def kbe_kernels(self, rows: int = 0) -> List[KernelTemplate]:
+        """KBE's kernels for a sink that consumed ``rows`` tuples."""
         raise NotImplementedError
 
 
@@ -447,7 +452,7 @@ class BuildSink(SinkOp):
     def gpl_kernels(self) -> List[KernelTemplate]:
         return [self._template()]
 
-    def kbe_kernels(self) -> List[KernelTemplate]:
+    def kbe_kernels(self, rows: int = 0) -> List[KernelTemplate]:
         return [self._template()]
 
     def __repr__(self) -> str:
@@ -483,7 +488,7 @@ class PartitionedBuildSink(BuildSink):
         )
         return [partition, self._template()]
 
-    def kbe_kernels(self) -> List[KernelTemplate]:
+    def kbe_kernels(self, rows: int = 0) -> List[KernelTemplate]:
         partitioner = PartitionOp(self.key, self.num_partitions)
         partitioner.bind(
             self.in_columns, self.in_columns,
@@ -547,7 +552,7 @@ class AggSink(SinkOp):
             )
         ]
 
-    def kbe_kernels(self) -> List[KernelTemplate]:
+    def kbe_kernels(self, rows: int = 0) -> List[KernelTemplate]:
         # OmniDB-style: materialize per-tuple aggregate inputs, then a
         # blocking prefix scan reduces them.
         value_width = 8 * max(1, len(self.aggregates))
@@ -620,24 +625,20 @@ class SortSink(SinkOp):
             order = order[: self.limit]
         return {name: merged[name][order] for name in self.in_columns}
 
-    def _rows_estimate(self) -> int:
-        # Rows consumed so far: KBE and Ocelot build their templates
-        # after the stream reached the sink, GPL before it starts, so
-        # GPL's sort kernel is always sized for 2 rows.
-        return max(2, sum(batch_rows(part) for part in self._parts))
-
     def gpl_kernels(self) -> List[KernelTemplate]:
+        # GPL launches its sort before any row reaches the sink, so the
+        # kernel is sized at the 2-row floor (EXPERIMENTS.md deviation 5).
+        return self.kbe_kernels()
+
+    def kbe_kernels(self, rows: int = 0) -> List[KernelTemplate]:
         return [
             KernelTemplate(
-                spec=klib.sort_kernel(self._rows_estimate(), len(self.in_columns)),
+                spec=klib.sort_kernel(rows, len(self.in_columns)),
                 in_width=self.in_width,
                 out_width=self.in_width,
                 est_selectivity=1.0,
             )
         ]
-
-    def kbe_kernels(self) -> List[KernelTemplate]:
-        return self.gpl_kernels()
 
     def __repr__(self) -> str:
         return f"SortSink({list(self.keys)})"
@@ -677,7 +678,7 @@ class CollectSink(SinkOp):
     def gpl_kernels(self) -> List[KernelTemplate]:
         return []
 
-    def kbe_kernels(self) -> List[KernelTemplate]:
+    def kbe_kernels(self, rows: int = 0) -> List[KernelTemplate]:
         return []
 
     def __repr__(self) -> str:

@@ -101,7 +101,8 @@ class ResultCache(BoundedStore):
 
     Entries are stored by reference.  That is safe for the same reason
     checkpoint capture-by-reference is: engine outputs are freshly
-    materialized per execution and never mutated downstream.
+    materialized per execution and never mutated downstream (an
+    engine's sink outputs are read-only arrays).
     """
 
     def __init__(self, max_bytes: int = DEFAULT_RESULT_CACHE_BYTES):

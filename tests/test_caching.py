@@ -171,6 +171,25 @@ class TestEngineSegmentCache:
             tiny_db, AMD_A10
         ).execute(base).sorted_rows()
 
+    def test_captured_outputs_are_read_only(self, tiny_db):
+        # The cache holds segment outputs by reference; numpy enforces
+        # that nobody writes into them.
+        cache = SegmentCache()
+        engine = KBEEngine(tiny_db, AMD_A10)
+        engine.segment_cache = cache
+        engine.execute(q5())
+        keys = cache.keys_for(engine.prepare(q5()), tiny_db, AMD_A10.name)
+        captured = [
+            array
+            for key in keys
+            for batch in cache.peek(key).intermediates.values()
+            for array in batch.values()
+        ]
+        assert captured
+        for array in captured:
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+
     def test_database_change_changes_keys(self, tiny_db):
         other_db = generate_database(scale=0.002, seed=99)
         cache = SegmentCache()
@@ -339,6 +358,16 @@ class TestServiceResultCache:
         gpl = GPLEngine(tiny_db, AMD_A10).execute(q9()).sorted_rows()
         kbe = KBEEngine(tiny_db, AMD_A10).execute(q9()).sorted_rows()
         assert served == gpl == kbe
+
+    def test_cached_result_is_read_only(self, tiny_db):
+        service = service_for(tiny_db, result_cache_bytes=64 * MIB)
+        service.run([q9()])
+        assert service.run([q9()]).cached == 1
+        served = service.result_for(1).batch
+        assert served
+        for array in served.values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
 
     def test_eviction_under_pressure_stays_correct(self, tiny_db):
         probe = service_for(tiny_db, result_cache_bytes=64 * MIB)

@@ -10,12 +10,15 @@ import json
 import pytest
 
 from repro.core import GPLConfig, GPLEngine, GPLWithoutCEEngine
+from repro.core.tiling import Tiler
 from repro.kbe import KBEEngine
 from repro.obs import Tracer, use_tracer
 from repro.ocelot import OcelotEngine
-from repro.plans import GroupAggState, HashTable
+from repro.plans import ExecutionContext, GroupAggState, HashTable
+from repro.plans.runtime import batch_rows
 from repro.serve import PlanCache
-from repro.tpch import generate_database, query_by_name
+from repro.ssb import SSB_QUERIES, generate_ssb
+from repro.tpch import QUERIES, generate_database, query_by_name
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +152,55 @@ class TestConfiguration:
         assert a.counters.elapsed_cycles == b.counters.elapsed_cycles
 
 
+def _pass_totals(engine, plan, tiles):
+    """Per-pipeline ``(rows_in, rows_out, sink_rows, output rows)`` of
+    the shared functional pass, with each source cut by ``tiles``."""
+    context = ExecutionContext()
+    totals = {}
+    for pipeline in plan.pipelines:
+        source = engine._source_batch(pipeline, context)
+        output, rows_in, rows_out, sink_rows = engine._functional_pass(
+            pipeline,
+            tiles(source, max(1, pipeline.source_row_width)),
+            context,
+        )
+        totals[pipeline.pipeline_id] = (
+            rows_in, rows_out, sink_rows,
+            None if output is None else batch_rows(output),
+        )
+    return totals
+
+
+@pytest.fixture(scope="module")
+def ssb_db():
+    return generate_ssb(scale=0.01)
+
+
+class TestFunctionalPass:
+    """Every engine runs one functional pass; its row totals — all the
+    simulated side reads of it — do not depend on how input is tiled."""
+
+    @pytest.mark.parametrize(
+        "workload,query",
+        [("tpch", name) for name in QUERIES]
+        + [("ssb", name) for name in SSB_QUERIES],
+    )
+    def test_row_totals_do_not_depend_on_tiling(
+        self, small_db, ssb_db, amd, workload, query
+    ):
+        if workload == "tpch":
+            database, spec = small_db, QUERIES[query]
+        else:
+            database, spec = ssb_db, SSB_QUERIES[query]
+        engine = KBEEngine(database, amd)
+        plan = engine.prepare(spec)
+        untiled = _pass_totals(engine, plan, lambda batch, width: [batch])
+        for tile_bytes in (16 * 1024, 1 << 20):
+            tiler = Tiler(tile_bytes)
+            assert _pass_totals(engine, plan, tiler.tiles) == untiled
+        assert any(sum(totals[0]) for totals in untiled.values())
+
+
 class TestOcelotBehavior:
     def test_hash_table_cache_speeds_second_run(self, db, amd):
         engine = OcelotEngine(db, amd)
@@ -203,9 +255,10 @@ def _held_state(sink):
 class TestCachedPlanReplay:
     """A cached plan re-executes exactly like a freshly lowered one.
 
-    Q5 and Q9 both end in a ``SortSink``, whose GPL kernel is sized from
-    the sink's contents when the templates are built: a sink that kept
-    the previous run's rows would move the second run's cycles.
+    Q5 and Q9 both end in a ``SortSink``.  Its kernels are sized from
+    the row count an engine passes in, never from what the sink holds,
+    and the sink drops its rows in ``finalize``: a plan's history can
+    move neither the rows nor the cycles of its next run.
     """
 
     @pytest.mark.parametrize("query", ["Q5", "Q9"])
@@ -235,3 +288,23 @@ class TestCachedPlanReplay:
             pipeline.pipeline_id: _held_state(pipeline.sink)
             for pipeline in plan.pipelines
         } == {pipeline.pipeline_id: [] for pipeline in plan.pipelines}
+
+    @pytest.mark.parametrize(
+        "engine_cls", [KBEEngine, OcelotEngine], ids=["kbe", "ocelot"]
+    )
+    def test_order_by_costs_the_same_on_a_cached_plan(
+        self, db, amd, engine_cls
+    ):
+        # Q9 ends in ORDER BY, and KBE's sort kernel is sized by the rows
+        # that reached the sink: fresh and cached plans cost the same.
+        spec = query_by_name("Q9")
+        cached = engine_cls(db, amd)
+        cached.plan_cache = PlanCache()
+        cycles = []
+        for _ in range(2):
+            if isinstance(cached, OcelotEngine):
+                cached.clear_hash_table_cache()  # rebuild, as a fresh run
+            cycles.append(cached.execute(spec).counters.elapsed_cycles)
+        fresh = engine_cls(db, amd).execute(spec).counters.elapsed_cycles
+        assert cached.plan_cache.stats.hits == 1
+        assert cycles == [fresh, fresh]

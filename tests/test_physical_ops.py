@@ -263,6 +263,23 @@ class TestSortAndCollect:
         sink.bind(["a"], WIDTHS)
         assert sink.gpl_kernels()[0].spec.blocking
 
+    def test_kernel_templates_ignore_sink_state(self):
+        # A template is asked for at different moments of a run (GPL
+        # before ``start``, KBE after the pass): it may depend only on
+        # the rows it is told about, never on what the sink holds.
+        context = ExecutionContext()
+        fresh, held = SortSink(("a",)), SortSink(("a",))
+        fresh.bind(["a", "b"], WIDTHS)
+        held.bind(["a", "b"], WIDTHS)
+        before = held.gpl_kernels()
+        held.start(context)
+        held.consume(batch(), context)
+        assert held.gpl_kernels() == before == fresh.kbe_kernels(rows=2)
+        for rows in (0, 4, 60_000):
+            assert held.kbe_kernels(rows=rows) == fresh.kbe_kernels(rows=rows)
+        assert fresh.kbe_kernels(rows=60_000) != fresh.kbe_kernels(rows=4)
+        held.finalize(context)
+
     def test_collect(self):
         context = ExecutionContext()
         sink = CollectSink()

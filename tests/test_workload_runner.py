@@ -60,6 +60,10 @@ class TestRunWorkload:
 
             def execute(self, spec):
                 result = super().execute(spec)
+                # Captured outputs are read-only: corrupt a copy.
+                result.batch = {
+                    name: array.copy() for name, array in result.batch.items()
+                }
                 for array in result.batch.values():
                     if array.dtype.kind == "f" and array.size:
                         array[0] += 1e6  # corrupt the answer
