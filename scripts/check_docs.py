@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs lint: catch broken links and stale references.
 
-Six checks over every tracked markdown file:
+Eight checks over the tracked markdown files:
 
 1. **intra-repo links** — every relative ``[text](target)`` must point
    at a file or directory that exists (anchors are stripped; external
@@ -36,7 +36,11 @@ Six checks over every tracked markdown file:
    and 24: error range and mean; Figs 16 and 27: improvement range;
    Fig 22: the largest-scale Q8/Q9 GPL/Ocelot ratios) must equal the
    committed ``benchmarks/results/*.txt``, rounded as the doc writes
-   them, so a moved figure cannot leave a stale claim behind.
+   them, so a moved figure cannot leave a stale claim behind;
+8. **store table** — every ``BoundedStore(...)`` instance under
+   ``src/repro`` must be named by its module, and every ``BoundedStore``
+   subclass by its class, in the table under ``## One bounded store`` in
+   ``docs/caching.md``, so a new cache or memo cannot ship unlisted.
 
 Exit code 0 when clean, 1 with one line per problem otherwise.  Run
 from the repository root (CI does); no arguments.
@@ -44,6 +48,7 @@ from the repository root (CI does); no arguments.
 
 from __future__ import annotations
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -103,6 +108,11 @@ DOCS_INDEX = REPO / "docs" / "README.md"
 EXPERIMENTS_DOC = REPO / "EXPERIMENTS.md"
 RESULTS_DIR = REPO / "benchmarks" / "results"
 MEASURED_ROW_RE = re.compile(r"^\| \*\*(Fig \d+)\*\*[^|]*\|[^|]*\|([^|]*)\|")
+
+# Check 8: the store table every BoundedStore must appear in.
+CACHING_DOC = REPO / "docs" / "caching.md"
+STORE_HEADING = "## One bounded store"
+SOURCE_ROOT = REPO / "src"
 
 
 def _error_range_and_mean(tables):
@@ -273,6 +283,9 @@ def iter_problems():
     # 7. EXPERIMENTS.md's measured claims match benchmarks/results
     yield from _measured_problems()
 
+    # 8. every BoundedStore under src/repro is in the store table
+    yield from _store_table_problems()
+
 
 def _result_tables(name):
     """The tables of ``benchmarks/results/<name>.txt``, in file order,
@@ -339,6 +352,45 @@ def _reachability_problems():
                 f"{path.relative_to(REPO)}: not reachable by links "
                 f"from {rel_index}"
             )
+
+
+def _is_bounded_store(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "BoundedStore") or (
+        isinstance(node, ast.Attribute) and node.attr == "BoundedStore"
+    )
+
+
+def _store_table_problems():
+    """Instances are named by module, subclasses by class name."""
+    rel = CACHING_DOC.relative_to(REPO)
+    named = set()
+    in_section = False
+    for line in CACHING_DOC.read_text().splitlines():
+        if line.startswith("## "):
+            in_section = line.strip() == STORE_HEADING
+        elif in_section and line.startswith("|"):
+            named.update(MODULE_RE.findall(line))
+    classes = {name.rpartition(".")[2] for name in named}
+    for path in sorted((SOURCE_ROOT / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(SOURCE_ROOT).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                _is_bounded_store(base) for base in node.bases
+            ):
+                if node.name not in classes:
+                    yield (
+                        f"{rel}: store class `{module}.{node.name}` is "
+                        f"missing from the store table"
+                    )
+            elif (
+                isinstance(node, ast.Call)
+                and _is_bounded_store(node.func)
+                and module not in named
+            ):
+                yield (
+                    f"{rel}: the BoundedStore at {module}:{node.lineno} is "
+                    f"missing from the store table"
+                )
 
 
 def _catalogue_problems():

@@ -26,6 +26,7 @@ from ..plans import (
     QuerySpec,
     SelingerOptimizer,
     lower,
+    plan_environment,
 )
 from ..plans.runtime import Batch, batch_bytes, batch_rows
 from ..relational import Database
@@ -212,15 +213,21 @@ class EngineBase:
             num_partitions=self.num_partitions,
         )
 
+    @property
+    def plan_env(self) -> str:
+        """What plan and segment keys read besides the query
+        (:func:`~repro.plans.lowering.plan_environment`)."""
+        return plan_environment(
+            self.database, self.device.name, self.partitioned_joins,
+            self.num_partitions, self.adaptive_fact,
+        )
+
     def explain(self, spec: QuerySpec) -> str:
         """Human-readable plan report: join order, pipelines, estimates."""
+        # The plan is lowered as execution lowers it; the optimizer is
+        # deterministic, so re-running it only recovers the join order.
+        plan = self.prepare_uncached(spec)
         optimized = self._optimizer.optimize(spec)
-        plan = lower(
-            optimized,
-            self.database,
-            partitioned_joins=self.partitioned_joins,
-            num_partitions=self.num_partitions,
-        )
         lines = [f"== {spec.name} on {self.name} / {self.device.name} =="]
         if optimized.join_order:
             lines.append(
@@ -271,14 +278,7 @@ class EngineBase:
         segment_cache = self.segment_cache
         segment_keys: Tuple[str, ...] = ()
         if segment_cache is not None:
-            segment_keys = segment_cache.keys_for(
-                plan,
-                self.database,
-                self.device.name,
-                partitioned_joins=self.partitioned_joins,
-                num_partitions=self.num_partitions,
-                adaptive_fact=self.adaptive_fact,
-            )
+            segment_keys = segment_cache.keys_for(plan, self.plan_env)
         # Keys already present before each segment runs, so a completed
         # segment's contribution (for the cross-query cache) is the diff.
         seen_intermediates: set = set()

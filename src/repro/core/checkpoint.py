@@ -30,20 +30,19 @@ from a re-planned attempt are invalidated (see
 A third class, :class:`SegmentCache`, generalizes the same capture
 machinery across *queries*: where the checkpoint store keys entries by
 a per-execution ticket (so two executions never alias), the segment
-cache keys them by a content signature — a running digest of the
-database fingerprint, the device, the plan knobs, and every lowered
-pipeline up to and including the segment — so two *distinct* queries
+cache keys them by a content signature — a running digest of the plan
+environment (database fingerprint, device name, plan knobs) and every
+lowered pipeline up to and including the segment — so two *distinct* queries
 whose plans share a lowered segment prefix (the same scan/filter/build
 subplans, in the same order) resume from each other's materialized
 outputs.  The signature is the whole invalidation story, exactly like
 :func:`~repro.plans.lowering.plan_cache_key`: change the data, the
-device, a knob, or any upstream operator and the key changes.
+device name, a knob, or any upstream operator and the key changes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -56,7 +55,6 @@ __all__ = [
     "QueryCheckpoint",
     "SegmentCache",
     "SegmentCheckpoint",
-    "segment_cache_keys",
 ]
 
 #: Default service-wide cap on live checkpoint bytes (256 MiB of
@@ -252,12 +250,6 @@ class QueryCheckpoint:
 
 # -- cross-query segment cache -------------------------------------------
 
-#: Guards the per-plan ``_segment_key_memo`` dicts: plans are shared
-#: through the plan cache, so two threads can key the same plan object
-#: concurrently.
-_MEMO_LOCK = threading.RLock()
-
-
 def _op_signature(op) -> str:
     """Deterministic description of one stream op or sink.
 
@@ -276,68 +268,6 @@ def _op_signature(op) -> str:
     return f"{type(op).__name__}({fields})"
 
 
-def segment_cache_keys(
-    plan,
-    database,
-    device_name: str,
-    *,
-    partitioned_joins: bool = False,
-    num_partitions: int = 16,
-    adaptive_fact: bool = False,
-) -> Tuple[str, ...]:
-    """One content key per pipeline of ``plan``, in plan order.
-
-    Key ``i`` is a running SHA-1 over the database fingerprint
-    (:attr:`~repro.relational.Database.fingerprint`: table names, row
-    counts, byte sizes — the same one plan cache keys hash), the device
-    name, the plan knobs, and the full descriptions of pipelines
-    ``0..i``.  Chaining the digest over the *prefix* makes the key
-    conservative and sound: a pipeline's inputs (its source
-    intermediate, the hash tables its probes consult) are always
-    produced by earlier pipelines, so two plans agreeing on a prefix key
-    agree on everything segment ``i`` can observe.
-
-    Keys are memoized on the plan object per environment digest — plans
-    are shared through the :class:`~repro.serve.PlanCache`, so repeat
-    traffic hashes nothing.
-    """
-    env = hashlib.sha1(database.fingerprint)
-    env.update(
-        f"|{device_name}|pj={int(partitioned_joins)}"
-        f"|np={num_partitions}|af={int(adaptive_fact)}".encode()
-    )
-    env_digest = env.hexdigest()
-    with _MEMO_LOCK:
-        memo = getattr(plan, "_segment_key_memo", None)
-        if memo is None:
-            memo = {}
-            plan._segment_key_memo = memo
-        keys = memo.get(env_digest)
-        if keys is not None:
-            return keys
-        running = hashlib.sha1(env_digest.encode())
-        out: List[str] = []
-        for pipeline in plan.pipelines:
-            source = pipeline.source_table or f"@{pipeline.source_intermediate}"
-            running.update(
-                "|".join(
-                    [
-                        pipeline.pipeline_id,
-                        source,
-                        repr(pipeline.source_columns),
-                        repr(sorted(pipeline.source_rename.items())),
-                        str(pipeline.source_row_width),
-                    ]
-                    + [_op_signature(op) for op in pipeline.ops]
-                    + [_op_signature(pipeline.sink)]
-                ).encode()
-            )
-            out.append(f"{pipeline.pipeline_id}:{running.hexdigest()}")
-        keys = tuple(out)
-        memo[env_digest] = keys
-        return keys
-
-
 class SegmentCache(BoundedStore):
     """Cross-query LRU cache of materialized segment outputs.
 
@@ -345,7 +275,7 @@ class SegmentCache(BoundedStore):
     values (:class:`SegmentCheckpoint` entries, held by reference — see
     the capture-by-reference note on :meth:`SegmentCheckpoint.capture`),
     same byte/segment bounds and LRU eviction, but keyed by the content
-    signatures of :func:`segment_cache_keys` instead of a per-execution
+    signatures of :meth:`keys_for` instead of a per-execution
     ticket.  Any engine whose ``segment_cache`` attribute is set
     consults it before running each segment; the serving layer shares
     one cache across every query it executes.
@@ -360,25 +290,50 @@ class SegmentCache(BoundedStore):
     ):
         super().__init__(max_entries=max_segments, max_bytes=max_bytes)
 
-    def keys_for(
-        self,
-        plan,
-        database,
-        device_name: str,
-        *,
-        partitioned_joins: bool = False,
-        num_partitions: int = 16,
-        adaptive_fact: bool = False,
-    ) -> Tuple[str, ...]:
-        """Per-pipeline content keys (see :func:`segment_cache_keys`)."""
-        return segment_cache_keys(
-            plan,
-            database,
-            device_name,
-            partitioned_joins=partitioned_joins,
-            num_partitions=num_partitions,
-            adaptive_fact=adaptive_fact,
-        )
+    def keys_for(self, plan, env: str) -> Tuple[str, ...]:
+        """One content key per pipeline of ``plan``, in plan order.
+
+        Key ``i`` is a running SHA-1 over the plan environment ``env``
+        (:func:`~repro.plans.lowering.plan_environment`: the database
+        fingerprint, the device name and the plan knobs — what plan
+        cache keys read besides the query) and the full descriptions of
+        pipelines ``0..i``.  Chaining the digest over the *prefix* makes
+        the key conservative and sound: a pipeline's inputs (its source
+        intermediate, the hash tables its probes consult) are always
+        produced by earlier pipelines, so two plans agreeing on a prefix
+        key agree on everything segment ``i`` can observe.
+
+        The keys of the last environment are kept on the plan object —
+        plans are shared through the :class:`~repro.serve.PlanCache`,
+        whose key holds the same environment, so repeat traffic hashes
+        nothing.
+        """
+        memo = getattr(plan, "_segment_keys", None)
+        if memo is not None and memo[0] == env:
+            return memo[1]
+        running = hashlib.sha1(env.encode())
+        out: List[str] = []
+        for pipeline in plan.pipelines:
+            running.update(
+                "|".join(
+                    [
+                        pipeline.pipeline_id,
+                        pipeline.source_table
+                        or f"@{pipeline.source_intermediate}",
+                        repr(pipeline.source_columns),
+                        repr(sorted(pipeline.source_rename.items())),
+                        str(pipeline.source_row_width),
+                    ]
+                    + [_op_signature(op) for op in pipeline.ops]
+                    + [_op_signature(pipeline.sink)]
+                ).encode()
+            )
+            out.append(f"{pipeline.pipeline_id}:{running.hexdigest()}")
+        keys = tuple(out)
+        # One tuple assignment: a concurrent reader sees the old pair or
+        # the new one, and each names its own environment.
+        plan._segment_keys = (env, keys)
+        return keys
 
     def restore(self, key: str, context) -> bool:
         """Splice the cached segment under ``key`` into ``context``.

@@ -232,9 +232,10 @@ class CalibrationTable:
         return best[1]
 
 
-#: Memoized Γ tables, keyed by device name and the swept grid: a sweep
-#: is a pure function of both, and a process calibrates a handful of
-#: (device, grid) pairs, so 64 entries never evict in practice.
+#: Memoized Γ tables, keyed by the device (every field: the sweep
+#: simulates on it) and the swept grid: a sweep is a pure function of
+#: both, and a process calibrates a handful of (device, grid) pairs, so
+#: 64 entries never evict in practice.
 _GAMMA_MEMO = BoundedStore(max_entries=64)
 
 
@@ -262,7 +263,7 @@ def calibrate_channels(
     packets: Optional[Sequence[int]] = None,
 ) -> CalibrationTable:
     """Sweep the calibration grid on ``device`` (memoized per device
-    name and grid).
+    value and grid: a same-named variant is swept on its own).
 
     NVIDIA's packet size is not user-tunable (Appendix A.1), so its grid
     collapses to the default packet size.
@@ -282,5 +283,5 @@ def calibrate_channels(
                     table.add(_measure(device, num_integers, config))
         return table
 
-    key = (device.name, sizes, channels, packets)
+    key = (device, sizes, channels, packets)
     return _GAMMA_MEMO.get_or_compute(key, sweep)

@@ -76,10 +76,12 @@ class SegmentChoice:
         return self.estimate.total_cycles
 
 
-#: Memoized search outcomes, keyed by (device name, segment/search
-#: fingerprint).  The paper argues the search is "ignorable compared with
-#: the query processing time" *per query*; a serving workload pays it per
-#: *query shape* instead (same idea as the Γ memo one level down).  A
+#: Memoized search outcomes, keyed by the device (every field: the
+#: search reads the whole Table 2 platform input, so a same-named
+#: variant is a different device) and a segment/search fingerprint.  The
+#: paper argues the search is "ignorable compared with the query
+#: processing time" *per query*; a serving workload pays it per *query
+#: shape* instead (same idea as the Γ memo one level down).  A
 #: long-lived serving process sees an unbounded stream of distinct query
 #: shapes (every new scale factor changes the segment fingerprints), so
 #: the memo is an LRU of 1024 entries: the catalogue at several scale
@@ -100,11 +102,12 @@ def clear_search_cache() -> None:
 class ConfigurationSearch:
     """Exhaustive search over the reduced parameter space.
 
-    ``use_cache`` (default on) memoizes :meth:`best_for_segment` per
-    (device, segment shape, candidate grid): every field of
-    :class:`~repro.model.notation.SegmentCostInput` is a frozen dataclass,
-    so its ``repr`` fingerprints the search input exactly, and the search
-    is deterministic, so replaying it could only waste time.
+    :meth:`best_for_segment` is memoized process-wide per (device,
+    segment shape, candidate grid, Γ table): the device is keyed by
+    value, every field of :class:`~repro.model.notation.SegmentCostInput`
+    is a frozen dataclass, so its ``repr`` fingerprints the search input
+    exactly, and the search is deterministic, so replaying it could only
+    waste time.  :func:`clear_search_cache` makes the next search cold.
     """
 
     def __init__(
@@ -113,7 +116,6 @@ class ConfigurationSearch:
         calibration: CalibrationTable,
         tile_candidates: Sequence[int] = TILE_SIZE_CANDIDATES,
         workgroup_candidates: Optional[Sequence[int]] = None,
-        use_cache: bool = True,
     ):
         self.device = device
         self.calibration = calibration
@@ -124,14 +126,15 @@ class ConfigurationSearch:
             if workgroup_candidates is not None
             else workgroup_ladder(device)
         )
-        self.use_cache = use_cache
         # The Γ surface is an input to the search; fingerprint it once so
         # a custom (non-default) calibration cannot alias a cached entry.
         self._calibration_digest = hashlib.sha1(
             repr(calibration.points).encode()
         ).hexdigest()
 
-    def _cache_key(self, segment: SegmentCostInput) -> Tuple[str, str]:
+    def _cache_key(
+        self, segment: SegmentCostInput
+    ) -> Tuple[DeviceSpec, str]:
         payload = repr(
             (
                 segment,
@@ -140,28 +143,21 @@ class ConfigurationSearch:
                 self._calibration_digest,
             )
         )
-        return (
-            self.device.name,
-            hashlib.sha1(payload.encode()).hexdigest(),
-        )
+        return self.device, hashlib.sha1(payload.encode()).hexdigest()
 
     def best_for_segment(self, segment: SegmentCostInput) -> SegmentChoice:
         """Minimize T_Sk over (Δ, wg ladder), with (n, p) from Γ."""
         with maybe_span(
             "search.segment", category="search", segment=segment.name
         ) as span:
-            if self.use_cache:
-                key = self._cache_key(segment)
-                cached = _SEARCH_MEMO.get(key)
-                if cached is not None:
-                    if span is not None:
-                        span.attrs["cached"] = True
-                    return cached
+            key = self._cache_key(segment)
+            cached = _SEARCH_MEMO.get(key)
             if span is not None:
-                span.attrs["cached"] = False
+                span.attrs["cached"] = cached is not None
+            if cached is not None:
+                return cached
             best = self._search(segment)
-            if self.use_cache:
-                _SEARCH_MEMO.put(key, best)
+            _SEARCH_MEMO.put(key, best)
             return best
 
     def optimize_plan(

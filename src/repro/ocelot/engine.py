@@ -9,7 +9,8 @@ the paper singles out in Section 5.5:
    selection intermediate is 1 bit per input tuple;
 2. **Hash-table caching** — MonetDB's memory manager keeps previously
    built hash tables, so repeated builds over the same (table, key,
-   predicate) are free.
+   predicate) are free — until the table is replaced, which the key's
+   plan environment (the database fingerprint) notices.
 
 Downstream operators pay for the bitmap's laziness: they scan *all* input
 positions (reading the bitmap plus the base columns of candidate rows)
@@ -24,8 +25,9 @@ the operator kernel expansion, the kept selectivities and the build skip.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Set, Tuple
+from typing import List
 
+from ..core.store import BoundedStore
 from ..kbe.engine import KBEEngine
 from ..plans import KernelTemplate, Pipeline
 from ..plans import kernels as klib
@@ -35,6 +37,10 @@ __all__ = ["OcelotEngine"]
 
 #: Bitmap width per input tuple, in bytes (1 bit, rounded for accounting).
 _BITMAP_WIDTH = 0.125
+
+#: Built hash tables one engine remembers: far more than a workload
+#: builds, so the bound only retires the tables of replaced databases.
+_HASH_TABLE_CACHE_ENTRIES = 256
 
 
 class OcelotEngine(KBEEngine):
@@ -47,26 +53,33 @@ class OcelotEngine(KBEEngine):
 
     def __init__(self, database, device, **kwargs):
         super().__init__(database, device, **kwargs)
-        # (table, key, payload, predicate fingerprint) of every build
-        self._hash_table_cache: Set[Tuple] = set()
+        self._hash_table_cache = BoundedStore(
+            max_entries=_HASH_TABLE_CACHE_ENTRIES
+        )
 
     def clear_hash_table_cache(self) -> None:
         self._hash_table_cache.clear()
 
     def _skips_kernels(self, pipeline: Pipeline) -> bool:
-        """Check/populate the hash-table cache for build pipelines."""
+        """Check/populate the hash-table cache for build pipelines.
+
+        A build is keyed by the plan environment (so replacing a table
+        through :meth:`~repro.relational.Database.add` rebuilds it) and
+        by its table, key, payload and predicates.
+        """
         if not isinstance(pipeline.sink, BuildSink):
             return False
         sink = pipeline.sink
-        fingerprint = (
+        key = (
+            self.plan_env,
             pipeline.source_table,
             sink.key,
             sink.payload_columns,
             tuple(repr(op) for op in pipeline.ops),
         )
-        if fingerprint in self._hash_table_cache:
+        if self._hash_table_cache.get(key) is not None:
             return True
-        self._hash_table_cache.add(fingerprint)
+        self._hash_table_cache.put(key, True)
         return False
 
     def _op_kernels(self, op: StreamOp) -> List[KernelTemplate]:

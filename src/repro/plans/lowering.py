@@ -49,37 +49,34 @@ from .physical import (
     StreamOp,
 )
 
-__all__ = ["lower", "plan_cache_key", "PARTITION_THRESHOLD_ROWS"]
+__all__ = [
+    "lower", "plan_cache_key", "plan_environment", "PARTITION_THRESHOLD_ROWS"
+]
 
 #: Hash tables expected to stay this small probe fine unpartitioned.
 PARTITION_THRESHOLD_ROWS = 50_000
 
 
-def plan_cache_key(
-    spec: QuerySpec,
+def plan_environment(
     database: Database,
     device_name: str,
     partitioned_joins: bool = False,
     num_partitions: int = 16,
     adaptive_fact: bool = False,
 ) -> str:
-    """Cache key for a lowered physical plan.
+    """Everything besides the query that plan and segment keys read.
 
-    A plan is reusable exactly when every input to optimization and
-    lowering is unchanged: the query's declarative shape
-    (:attr:`~repro.plans.logical.QuerySpec.fingerprint`), the database's
-    contents (:attr:`~repro.relational.Database.fingerprint`: table
-    names, row counts, and byte sizes stand in for the statistics the
-    optimizer reads), the target device, and the engine-level plan
-    knobs.  Changing any component — a different scale factor, a
-    different device, toggling partitioned joins — produces a different
-    key, which is how the plan cache invalidates.  Both fingerprints are
-    computed once per spec and once per database, so a repeated key
-    hashes one short string.
+    The database's contents (a digest of
+    :attr:`~repro.relational.Database.fingerprint`: table names, row
+    counts and byte sizes stand in for the statistics the optimizer
+    reads), the device *name*, and the engine-level plan knobs.  No
+    device field shapes a plan or a segment's rows, so a same-named
+    variant — a serving round member at a reduced ``concurrency`` — shares
+    the entries of its device.  :attr:`repro.core.EngineBase.plan_env`
+    is this value for one engine.
     """
     return "/".join(
         (
-            spec.fingerprint,
             hashlib.sha1(database.fingerprint).hexdigest(),
             device_name,
             f"pj={int(partitioned_joins)}",
@@ -87,6 +84,21 @@ def plan_cache_key(
             f"af={int(adaptive_fact)}",
         )
     )
+
+
+def plan_cache_key(spec: QuerySpec, env: str) -> str:
+    """Cache key for a lowered physical plan.
+
+    A plan is reusable exactly when every input to optimization and
+    lowering is unchanged: the query's declarative shape
+    (:attr:`~repro.plans.logical.QuerySpec.fingerprint`) and its
+    environment ``env`` (:func:`plan_environment`).  Changing any
+    component — a different scale factor, a different device, toggling
+    partitioned joins — produces a different key, which is how the plan
+    cache invalidates.  Both fingerprints are computed once per spec and
+    once per database, so a repeated key hashes one short string.
+    """
+    return f"{spec.fingerprint}/{env}"
 
 
 def _column_widths(optimized: OptimizedQuery, database: Database) -> Dict[str, int]:

@@ -56,14 +56,7 @@ class PlanCache(BoundedStore):
 
     def key_for(self, engine, spec: QuerySpec) -> str:
         """The cache key ``engine`` would use for ``spec``."""
-        return plan_cache_key(
-            spec,
-            engine.database,
-            engine.device.name,
-            partitioned_joins=engine.partitioned_joins,
-            num_partitions=engine.num_partitions,
-            adaptive_fact=engine.adaptive_fact,
-        )
+        return plan_cache_key(spec, engine.plan_env)
 
     def fetch_or_prepare(
         self, engine, spec: QuerySpec

@@ -12,16 +12,32 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import GPLEngine
+from repro.core import GPLConfig, GPLEngine
 from repro.core.checkpoint import SegmentCache, SegmentCheckpoint
 from repro.faults import FaultPlan
-from repro.gpu import AMD_A10, NVIDIA_K40
+from repro.gpu import (
+    AMD_A10,
+    NVIDIA_K40,
+    clear_simulation_memo,
+    simulation_memo_stats,
+)
 from repro.kbe import KBEEngine
-from repro.model import clear_calibration_cache, clear_search_cache
-from repro.plans import TableRef, plan_cache_key
+from repro.model import (
+    CALIBRATION_SIZES,
+    TILE_SIZE_CANDIDATES,
+    ConfigurationSearch,
+    calibrate_channels,
+    calibration_cache_stats,
+    clear_calibration_cache,
+    clear_search_cache,
+    plan_cost_inputs,
+    search_cache_stats,
+)
+from repro.ocelot import OcelotEngine
+from repro.plans import TableRef, plan_cache_key, plan_environment
 from repro.relational import Database, Table
-from repro.serve import QueryService, ResultCache
-from repro.shard import DevicePool
+from repro.serve import PlanCache, QueryService, ResultCache
+from repro.shard import DevicePool, ShardedExecutor
 from repro.tpch import generate_database, q5, q9, q14
 
 MIB = 1024 * 1024
@@ -30,6 +46,11 @@ MIB = 1024 * 1024
 def service_for(db, **kwargs):
     kwargs.setdefault("max_concurrent", 4)
     return QueryService(db, AMD_A10, **kwargs)
+
+
+def _env(database, device=AMD_A10, **knobs):
+    """The plan environment of an engine on ``device`` over ``database``."""
+    return plan_environment(database, device.name, **knobs)
 
 
 def rows_for(service, ticket):
@@ -178,7 +199,7 @@ class TestEngineSegmentCache:
         engine = KBEEngine(tiny_db, AMD_A10)
         engine.segment_cache = cache
         engine.execute(q5())
-        keys = cache.keys_for(engine.prepare(q5()), tiny_db, AMD_A10.name)
+        keys = cache.keys_for(engine.prepare(q5()), _env(tiny_db))
         captured = [
             array
             for key in keys
@@ -195,8 +216,8 @@ class TestEngineSegmentCache:
         cache = SegmentCache()
         engine = GPLEngine(tiny_db, AMD_A10)
         engine.segment_cache = cache
-        keys_a = cache.keys_for(engine.prepare(q5()), tiny_db, AMD_A10.name)
-        keys_b = cache.keys_for(engine.prepare(q5()), other_db, AMD_A10.name)
+        keys_a = cache.keys_for(engine.prepare(q5()), _env(tiny_db))
+        keys_b = cache.keys_for(engine.prepare(q5()), _env(other_db))
         assert keys_a != keys_b
 
 
@@ -230,6 +251,181 @@ def _count_calls(monkeypatch, owner, attr):
     return calls
 
 
+# One row per (store, perturbed input).  A driver builds the store over
+# a private database and returns ``lookup(**inputs)``, which runs the
+# store's computation once and reports "hit" or "miss".
+_BASE = dict(
+    device=AMD_A10, pj=False, np=16, af=False, tile=GPLConfig().tile_bytes,
+    pool=1, grid=False, spec=q14(),
+)
+_PERTURBED = {
+    "device": dict(device=AMD_A10.with_overrides(num_cus=2)),
+    "concurrency": dict(device=AMD_A10.with_overrides(concurrency=1)),
+    "pj": dict(pj=True),
+    "np": dict(np=8),
+    "af": dict(af=True),
+    "tile": dict(tile=GPLConfig().tile_bytes // 4),
+    "pool": dict(pool=2),
+    "grid": dict(grid=True),
+    "shape": dict(spec=dataclasses.replace(q14(), limit=3)),
+    "deadline": dict(spec=dataclasses.replace(q14(), deadline_cycles=1e15)),
+}
+
+
+def _outcome(hits, misses):
+    if hits and not misses:
+        return "hit"
+    if misses and not hits:
+        return "miss"
+    return f"{hits} hits, {misses} misses"
+
+
+def _counted(counters, run):
+    """A lookup that reads its outcome off the store's running totals."""
+    def lookup(**inputs):
+        before = counters()
+        run(**inputs)
+        after = counters()
+        return _outcome(
+            after["hits"] - before["hits"], after["misses"] - before["misses"]
+        )
+    return lookup
+
+
+def _engine(database, device, pj, np, af, **_):
+    return GPLEngine(
+        database, device, partitioned_joins=pj, num_partitions=np,
+        adaptive_fact=af,
+    )
+
+
+def _plan_store(database):
+    cache = PlanCache()
+
+    def run(spec, **inputs):
+        engine = _engine(database, **inputs)
+        engine.plan_cache = cache
+        engine.prepare(spec)
+    return _counted(cache.counters, run)
+
+
+def _result_store(database):
+    cache = ResultCache(64 * MIB)
+
+    def run(pj, tile, pool, spec, **_):
+        service = service_for(
+            database, result_cache=cache, partitioned_joins=pj,
+            config=GPLConfig(tile_bytes=tile),
+            pool=DevicePool(pool) if pool > 1 else None,
+        )
+        service.run([spec])
+    return _counted(cache.counters, run)
+
+
+def _segment_store(database):
+    cache = SegmentCache()
+
+    def run(spec, **inputs):
+        engine = _engine(database, **inputs)
+        engine.segment_cache = cache
+        engine.execute(spec)
+    return _counted(cache.counters, run)
+
+
+def _partition_store(database):
+    executor = ShardedExecutor(database, DevicePool(2))
+    return _counted(
+        executor._partition_cache.counters,
+        lambda spec, **_: executor.execute(spec),
+    )
+
+
+def _search_memo(database):
+    clear_search_cache()
+    plan = GPLEngine(database, AMD_A10).prepare(q14())
+    segments = plan_cost_inputs(plan, database)
+
+    def run(device, grid, **_):
+        tiles = TILE_SIZE_CANDIDATES[:-1] if grid else TILE_SIZE_CANDIDATES
+        search = ConfigurationSearch(
+            device, calibrate_channels(device), tile_candidates=tiles
+        )
+        search.optimize_plan(segments)
+    return _counted(search_cache_stats, run)
+
+
+def _simulation_memo(database):
+    clear_simulation_memo()
+
+    def run(device, spec, **_):
+        GPLEngine(database, device).execute(spec)
+    return _counted(simulation_memo_stats, run)
+
+
+def _gamma_memo(database):
+    clear_calibration_cache()
+
+    def run(device, grid, **_):
+        sizes = CALIBRATION_SIZES[:-1] if grid else CALIBRATION_SIZES
+        calibrate_channels(device, sizes=sizes)
+    return _counted(calibration_cache_stats, run)
+
+
+def _ocelot_builds(database):
+    """A build hits when it launches fewer kernels than a fresh engine's."""
+    engine = OcelotEngine(database, AMD_A10)
+
+    def lookup(spec, **_):
+        launches = engine.execute(spec).counters.kernel_launches
+        fresh = OcelotEngine(database, AMD_A10).execute(spec)
+        return "miss" if launches == fresh.counters.kernel_launches else "hit"
+    return lookup
+
+
+def _dedupe_key(database):
+    """A follower hits when the drain dedupes it onto ``q14()``."""
+    service = service_for(database, batch_dedupe=True)
+
+    def lookup(spec, **_):
+        return "hit" if service.run([q14(), spec]).deduped else "miss"
+    return lookup
+
+
+_KEYED_STORES = {
+    "plan": _plan_store,
+    "result": _result_store,
+    "segment": _segment_store,
+    "partition": _partition_store,
+    "search": _search_memo,
+    "simulation": _simulation_memo,
+    "gamma": _gamma_memo,
+    "ocelot": _ocelot_builds,
+    "dedupe": _dedupe_key,
+}
+_KEY_ROWS = [
+    (store, perturbation, "miss")
+    for store, perturbations in (
+        ("plan", ("add", "pj", "np", "af")),
+        ("result", ("add", "pj", "tile", "pool")),
+        ("segment", ("add", "pj", "np", "af")),
+        ("partition", ("add",)),
+        ("search", ("device", "grid")),
+        # Δ reaches the simulator only through a segment's tile plan, so
+        # a segment that fits one tile at both sizes rightly hits.
+        ("simulation", ("device", "concurrency")),
+        ("gamma", ("device", "grid")),
+        ("ocelot", ("add",)),
+        ("dedupe", ("shape", "deadline")),
+    )
+    for perturbation in perturbations
+] + [
+    # Plans and segments read no device field: a serving round member
+    # runs on a same-named variant at reduced concurrency and must hit.
+    ("plan", "concurrency", "hit"),
+    ("segment", "concurrency", "hit"),
+]
+
+
 class TestKeyMemo:
     def test_spec_is_serialized_once(self, tiny_db, monkeypatch):
         spec = q5()
@@ -237,7 +433,7 @@ class TestKeyMemo:
         for device in (AMD_A10, NVIDIA_K40):
             for partitioned in (False, True):
                 plan_cache_key(
-                    spec, tiny_db, device.name, partitioned_joins=partitioned
+                    spec, _env(tiny_db, device, partitioned_joins=partitioned)
                 )
         service = service_for(
             tiny_db, result_cache_bytes=64 * MIB, batch_dedupe=True
@@ -254,35 +450,54 @@ class TestKeyMemo:
         measured = _count_calls(monkeypatch, Table, "nbytes")
         cache = SegmentCache()
         for device in (AMD_A10, NVIDIA_K40):
-            plan_cache_key(q5(), database, device.name)
-            plan_cache_key(q9(), database, device.name)
-            cache.keys_for(plan, database, device.name)
+            plan_cache_key(q5(), _env(database, device))
+            plan_cache_key(q9(), _env(database, device))
+            cache.keys_for(plan, _env(database, device))
         assert len(measured) == len(database.names)
 
     def test_replace_rekeys_only_what_shapes_the_plan(self, tiny_db):
         spec = q5()
-        key = plan_cache_key(spec, tiny_db, AMD_A10.name)
+        key = plan_cache_key(spec, _env(tiny_db))
         limited = dataclasses.replace(spec, limit=3)
         assert limited.fingerprint != spec.fingerprint
-        assert plan_cache_key(limited, tiny_db, AMD_A10.name) != key
+        assert plan_cache_key(limited, _env(tiny_db)) != key
         bounded = dataclasses.replace(spec, deadline_cycles=1e9)
         assert bounded.fingerprint == spec.fingerprint
-        assert plan_cache_key(bounded, tiny_db, AMD_A10.name) == key
+        assert plan_cache_key(bounded, _env(tiny_db)) == key
 
     def test_add_changes_plan_and_segment_keys(self, tiny_db):
         database = _copy_of(tiny_db)
         engine = GPLEngine(database, AMD_A10)
         plan = engine.prepare(q5())
         cache = SegmentCache()
-        plan_key = plan_cache_key(q5(), database, AMD_A10.name)
-        segment_keys = cache.keys_for(plan, database, AMD_A10.name)
-        assert plan_key == plan_cache_key(q5(), tiny_db, AMD_A10.name)
+        plan_key = plan_cache_key(q5(), _env(database))
+        segment_keys = cache.keys_for(plan, _env(database))
+        assert plan_key == plan_cache_key(q5(), _env(tiny_db))
         lineitem = database.table("lineitem")
         database.add("lineitem", lineitem.slice(0, lineitem.num_rows // 2))
-        assert plan_cache_key(q5(), database, AMD_A10.name) != plan_key
-        new_keys = cache.keys_for(plan, database, AMD_A10.name)
+        assert plan_cache_key(q5(), _env(database)) != plan_key
+        new_keys = cache.keys_for(plan, _env(database))
         assert len(new_keys) == len(segment_keys)
         assert not set(new_keys) & set(segment_keys)
+
+    @pytest.mark.parametrize("store, perturbation, expected", _KEY_ROWS)
+    def test_each_key_reads_what_its_computation_reads(
+        self, tiny_db, store, perturbation, expected
+    ):
+        # Warm the store, perturb one input, then repeat the unperturbed
+        # call.  An add cannot be undone, so after one the unperturbed
+        # call reads the replaced table.
+        database = _copy_of(tiny_db)
+        lookup = _KEYED_STORES[store](database)
+        lookup(**_BASE)
+        inputs = dict(_BASE)
+        if perturbation == "add":
+            part = database.table("part")
+            database.add("part", part.filter(np.arange(part.num_rows) % 2 == 0))
+        else:
+            inputs.update(_PERTURBED[perturbation])
+        assert lookup(**inputs) == expected
+        assert lookup(**_BASE) == "hit"
 
     def test_service_misses_after_add(self, tiny_db):
         database = _copy_of(tiny_db)

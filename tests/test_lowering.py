@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.plans import SelingerOptimizer, lower, plan_cache_key
+from repro.plans import (
+    SelingerOptimizer,
+    lower,
+    plan_cache_key,
+    plan_environment,
+)
 from repro.plans.physical import (
     AggSink,
     BuildSink,
@@ -145,13 +150,13 @@ class TestPlanCacheKey:
     def test_key_is_pinned(self, tiny_db, amd):
         """Recorded before ``Table.nbytes`` was precomputed: the database
         digest inside the key reads every table's row count and nbytes."""
-        assert plan_cache_key(q14(), tiny_db, amd.name) == (
+        assert plan_cache_key(q14(), plan_environment(tiny_db, amd.name)) == (
             "44b73c2dad7442a30fbb75fd617d25ea53bf1484/"
             "4632f6490d169e18db6d1b7012db99a7bb90c683/"
             "AMD A10 APU/pj=0/np=16/af=0"
         )
         assert plan_cache_key(
-            q9(), tiny_db, amd.name, partitioned_joins=True
+            q9(), plan_environment(tiny_db, amd.name, partitioned_joins=True)
         ) == (
             "ed41bd02677c4537a118832dd53355e9a4a81742/"
             "4632f6490d169e18db6d1b7012db99a7bb90c683/"

@@ -12,6 +12,7 @@ from repro.model import (
     KernelCostInput,
     SegmentCostInput,
     calibrate_channels,
+    clear_search_cache,
 )
 from repro.plans import kernels as library
 
@@ -142,7 +143,7 @@ _SEARCHES = {}
 def search_for(device) -> ConfigurationSearch:
     if device.name not in _SEARCHES:
         _SEARCHES[device.name] = ConfigurationSearch(
-            device, calibrate_channels(device), use_cache=False
+            device, calibrate_channels(device)
         )
     return _SEARCHES[device.name]
 
@@ -222,6 +223,7 @@ class TestSearchEqualsBruteForce:
     @settings(max_examples=60, deadline=None)
     def test_best_for_segment_is_the_first_minimum(self, segment, device):
         search = search_for(device)
+        clear_search_cache()
         choice = search.best_for_segment(segment)
         config, estimate = brute_force(search, segment)
         assert choice.config == config

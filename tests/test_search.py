@@ -51,7 +51,7 @@ def search_choice_digests():
             database = generate(scale=scale)
             for device in (AMD_A10, NVIDIA_K40):
                 search = ConfigurationSearch(
-                    device, calibrate_channels(device), use_cache=False
+                    device, calibrate_channels(device)
                 )
                 engine = GPLEngine(database, device)
                 for name, spec in sorted(queries.items()):
@@ -62,6 +62,7 @@ def search_choice_digests():
                              segment.name)
                         )
                         assert key not in digests
+                        clear_search_cache()
                         choice = search.best_for_segment(segment)
                         digests[key] = hashlib.sha1(
                             repr((choice.config, choice.estimate)).encode()
@@ -242,7 +243,8 @@ class TestSearchEdgeCases:
         )
         table = calibrate_channels(AMD_A10)
         model = CostModel(AMD_A10, table)
-        forward = ConfigurationSearch(AMD_A10, table, use_cache=False)
+        clear_search_cache()
+        forward = ConfigurationSearch(AMD_A10, table)
         choice = forward.best_for_segment(segment)
         tied = {
             model.estimate_segment(
@@ -253,8 +255,7 @@ class TestSearchEdgeCases:
         assert tied == {choice.predicted_cycles}
         assert choice.config.tile_bytes == TILE_SIZE_CANDIDATES[0]
         backward = ConfigurationSearch(
-            AMD_A10, table, tile_candidates=TILE_SIZE_CANDIDATES[::-1],
-            use_cache=False,
+            AMD_A10, table, tile_candidates=TILE_SIZE_CANDIDATES[::-1]
         )
         assert (
             backward.best_for_segment(segment).config.tile_bytes
@@ -278,7 +279,8 @@ class TestSearchEdgeCases:
             source_width=16,
         )
         table = calibrate_channels(AMD_A10)
-        real = ConfigurationSearch(AMD_A10, table, use_cache=False)
+        clear_search_cache()
+        real = ConfigurationSearch(AMD_A10, table)
         assert real.best_for_segment(segment).config.tile_bytes < 16 * MIB
 
         class ZeroForLargeWorkingSets(CalibrationTable):
@@ -292,10 +294,11 @@ class TestSearchEdgeCases:
         stub = ZeroForLargeWorkingSets(device=AMD_A10)
         for point in table.points:
             stub.add(point)
+        # The stub's points fingerprint as ``table``'s do, so a warm memo
+        # would answer from ``real``'s entry.
+        clear_search_cache()
         with pytest.raises(ModelError):
-            ConfigurationSearch(
-                AMD_A10, stub, use_cache=False
-            ).best_for_segment(segment)
+            ConfigurationSearch(AMD_A10, stub).best_for_segment(segment)
 
     def test_unplaceable_kernel_raises_occupancy_error(self):
         # 1 KiB of local memory per work-item: one 64-wide work-group
@@ -304,9 +307,7 @@ class TestSearchEdgeCases:
             name="fat", kernels=(_leaf(lm_per_workitem=1024),),
             source_rows=10_000, source_width=16,
         )
-        search = ConfigurationSearch(
-            AMD_A10, calibrate_channels(AMD_A10), use_cache=False
-        )
+        search = ConfigurationSearch(AMD_A10, calibrate_channels(AMD_A10))
         with pytest.raises(OccupancyError):
             search.best_for_segment(segment)
 
